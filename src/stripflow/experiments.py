@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig, config_as_dict, serialize_config
 from .diagnostics import DecayCurve, energy_report, fit_rate, theorem_suite
-from .errors import ConfigError, NumericalBlowup, StripflowError
+from .errors import ConfigError, StripflowError
 from .oracles import pair_reference, relative_gap
 from .propagators import (
     classify_region,
@@ -59,7 +59,8 @@ def run(cfg: ExperimentConfig, overrides=None) -> int:
         _write_manifest(cfg, out_dir, [], {"error": str(exc)}, t0, overrides)
         return EXIT_CONFIG
     except StripflowError as exc:
-        _write_manifest(cfg, out_dir, [], {"error": str(exc)}, t0, overrides)
+        error = f"{type(exc).__name__}: {exc}"
+        _write_manifest(cfg, out_dir, [], {"error": error}, t0, overrides)
         return EXIT_NUMERICAL
     _write_manifest(cfg, out_dir, outputs, summary, t0, overrides)
     return EXIT_OK
@@ -200,8 +201,7 @@ def _run_nonlinear_decay(cfg, out_dir):
     samples = samples[samples <= t_end + 1e-9]
     result = run_trajectory(state0, cfg.stepper(), t_end, samples)
     if not result.completed:
-        raise NumericalBlowup("trajectory", (0, 0), result.states[-1].t
-                              if result.states else 0.0)
+        raise result.error
 
     outputs, fits, window = _ladder_outputs(cfg, out_dir, result.states, honesty)
     final = result.states[-1]

@@ -8,6 +8,7 @@ parity: d/dy sin(k pi y) = k pi cos(k pi y) and d/dy cos(k pi y) =
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .fields import (
     Parity,
@@ -66,14 +67,25 @@ def velocity_from_vorticity(omega: SpectralField):
     """
     require_parity(omega, Parity.ODD, "velocity_from_vorticity")
     grid = omega.grid
+    dy_sym, dx_sym = _velocity_symbols(grid)
+
+    u1 = SpectralField.zeros(grid, Parity.EVEN)
+    u1.coeff[:, 1:] = dy_sym * omega.coeff
+    u2 = SpectralField(grid, Parity.ODD, dx_sym * omega.coeff)
+    return u1, u2
+
+
+@lru_cache(maxsize=8)
+def _velocity_symbols(grid):
+    """Multipliers k pi / p (u1 rows k >= 1) and -i xi / p (u2) on the Odd lattice."""
     p = laplace_symbol(grid, Parity.ODD)
     k = y_wavenumbers(grid, Parity.ODD)
     xi = xi_values(grid)
-
-    u1 = SpectralField.zeros(grid, Parity.EVEN)
-    u1.coeff[:, 1:] = (math.pi * k)[None, :] / p * omega.coeff
-    u2 = SpectralField(grid, Parity.ODD, (-1j * xi[:, None] / p) * omega.coeff)
-    return u1, u2
+    dy_sym = (math.pi * k)[None, :] / p
+    dx_sym = -1j * xi[:, None] / p
+    for a in (dy_sym, dx_sym):
+        a.setflags(write=False)
+    return dy_sym, dx_sym
 
 
 def vorticity_from_velocity(u1: SpectralField, u2: SpectralField) -> SpectralField:

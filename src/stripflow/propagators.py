@@ -146,11 +146,14 @@ def _sinhc(z):
     """sinh(z)/z with the removable singularity filled by Taylor series."""
     z = np.asarray(z, dtype=np.complex128)
     small = np.abs(z) < SINHC_TAYLOR_THRESHOLD
-    zs = np.where(small, z, 0.0)
-    series = 1.0 + zs**2 / 6.0 + zs**4 / 120.0 + zs**6 / 5040.0
     zb = np.where(small, 1.0, z)
     with np.errstate(over="ignore", invalid="ignore"):
         direct = np.sinh(zb) / zb
+    if not small.any():
+        # away from t = 0 and sigma = 0 no entry needs the series
+        return direct
+    zs = np.where(small, z, 0.0)
+    series = 1.0 + zs**2 / 6.0 + zs**4 / 120.0 + zs**6 / 5040.0
     return np.where(small, series, direct)
 
 
@@ -183,7 +186,9 @@ def pair_values(nu_p, sigma, t, lam=None):
 
     z = 0.5 * sigma * t
     huge = z.real > SINHC_OVERFLOW_THRESHOLD
-    l2 = t * np.exp(-0.5 * nu_p * t) * _sinhc(np.where(huge, 0.0, z))
+    # the placeholder 1 keeps huge entries (overwritten below) out of both
+    # sinh overflow and the near-zero series branch of _sinhc
+    l2 = t * np.exp(-0.5 * nu_p * t) * _sinhc(np.where(huge, 1.0, z))
     if np.any(huge):
         sig_safe = np.where(huge, sigma, 1.0)
         l2 = np.where(huge, (ep - em) / sig_safe, l2)
@@ -304,8 +309,7 @@ def _grid_symbols(grid: StripGrid):
     return p, sigma, lam_p, lam_m
 
 
-@lru_cache(maxsize=32)
-def pair_step_matrix(grid: StripGrid, t: float):
+def pair_matrix(grid: StripGrid, t: float):
     """Entries of exp(tA) on the Odd lattice: (m11, m12, m21, m22).
 
     m11 = l1 - (nu p / 2) l2, m12 = i xi l2, m21 = (i xi / p) l2,
@@ -326,9 +330,20 @@ def pair_step_matrix(grid: StripGrid, t: float):
     m12[zero_col] = 0.0
     m21[zero_col] = 0.0
     m22[zero_col] = 1.0
-    for m in (m11, m12, m21, m22):
-        m.setflags(write=False)
     return m11, m12, m21, m22
+
+
+@lru_cache(maxsize=4)
+def pair_step_matrix(grid: StripGrid, t: float):
+    """pair_matrix cached for the time stepper, which reuses one dt/2.
+
+    Callers that ask for many distinct times use pair_matrix directly, so
+    the cache holds a few lattice-sized entries, not one per time.
+    """
+    out = pair_matrix(grid, t)
+    for m in out:
+        m.setflags(write=False)
+    return out
 
 
 def propagate_linear_pair(
@@ -342,7 +357,7 @@ def propagate_linear_pair(
     if t < 0:
         raise ValueError("t must be >= 0")
     grid = omega0.grid
-    m11, m12, m21, m22 = pair_step_matrix(grid, float(t))
+    m11, m12, m21, m22 = pair_matrix(grid, float(t))
     w = m11 * omega0.coeff + m12 * theta0.coeff
     th = m21 * omega0.coeff + m22 * theta0.coeff
     return FlowState(

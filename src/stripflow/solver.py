@@ -64,11 +64,16 @@ class StepperConfig:
 
 @dataclass
 class TrajectoryResult:
-    """Snapshots plus a completion flag; ``failure`` holds the abort reason."""
+    """Snapshots plus a completion flag.
+
+    On an aborted run ``error`` is the exception that stopped it and
+    ``failure`` its message.
+    """
 
     states: list
     completed: bool
     failure: str | None = None
+    error: Exception | None = None
 
 
 @lru_cache(maxsize=16)
@@ -194,8 +199,8 @@ def run_trajectory(state0: FlowState, cfg: StepperConfig, t_end: float,
 
     Each requested sample time is rounded to the nearest step boundary;
     recorded snapshot times are the exact boundary times.  On a step
-    failure the partial trajectory is returned with ``completed=False``
-    and the failure message.
+    failure the partial trajectory is returned with ``completed=False``,
+    the exception and its message.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(sample_times) <= 0):
@@ -219,7 +224,7 @@ def run_trajectory(state0: FlowState, cfg: StepperConfig, t_end: float,
                 states.append(state)
                 targets = targets[1:]
     except (CflViolation, NumericalBlowup) as exc:
-        return TrajectoryResult(states, completed=False, failure=str(exc))
+        return TrajectoryResult(states, completed=False, failure=str(exc), error=exc)
     return TrajectoryResult(states, completed=True)
 
 

@@ -1,21 +1,27 @@
 """Transforms between coefficient space and collocation values.
 
-The vertical sine/cosine series are evaluated by odd/even extension onto a
-doubled periodic grid of length 2*ny followed by a complex FFT, so Odd and
-Even fields share the same collocation nodes and can be multiplied
-pointwise.  The x-direction uses a plain FFT; the nodes start at -Lx, which
-contributes the alternating phase (-1)^j relative to the usual 0-based
-convention.
+Both directions use real transforms.  In x, coefficients are folded onto
+the half spectrum j = 0..nx/2 and synthesized by an inverse real FFT; the
+nodes start at -Lx, which contributes the alternating phase (-1)^j
+relative to the usual 0-based convention.  In y, sine series run as a
+type-I discrete sine transform over the ny-1 interior rows (Odd wall rows
+are exactly zero) and cosine series as a type-I discrete cosine transform
+over all ny+1 rows, so Odd and Even fields share the same collocation
+nodes and can be multiplied pointwise.  The constant factors (node phase,
+coefficient normalization, FFT and DST/DCT scalings) make up one cached
+per-grid, per-parity array in each direction.
 
 to_physical and to_spectral are exact inverses (to rounding) on the
-band-limited space: zero x-Nyquist column, zero k=ny row.
+band-limited space: zero x-Nyquist column, zero k=ny sine row.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import dct, dst, irfft, rfft
 
 from .errors import ParityError
 from .fields import (
@@ -23,17 +29,11 @@ from .fields import (
     PhysicalField,
     SpectralField,
     StripGrid,
-    xi_index,
 )
 
 #: Odd-parity physical input whose wall rows exceed this (relative to the
 #: field maximum, with an absolute floor of 1) is rejected as a parity bug.
 BOUNDARY_TOL = 1e-12
-
-
-def _alt_sign(grid):
-    # exp(i xi_j x_m) = (-1)^j exp(2 pi i j m / nx) because x starts at -Lx
-    return np.where(xi_index(grid) % 2 == 0, 1.0, -1.0)
 
 
 def _amplitude_scale(grid, parity):
@@ -45,36 +45,63 @@ def _amplitude_scale(grid, parity):
     return s
 
 
+@lru_cache(maxsize=16)
+def _half_spectrum_factors(grid: StripGrid, parity: Parity):
+    """(synthesis, analysis) multipliers over j = 0..nx/2 and the visible rows.
+
+    The sine k=ny row vanishes at every node, so Odd fields have ny-1
+    visible rows and Even fields ny+1.  Synthesis multiplies
+    c[j] + conj(c[-j]) before irfft and combines the 1/2 of that fold, the
+    node phase (-1)^j, the amplitude scale, the nx of irfft's normalization
+    and the DST-I/DCT-I row weights (DST-I doubles every term, DCT-I all
+    but the two end rows).  Analysis multiplies the rfft of the
+    DST-I/DCT-I rows and undoes the same factors, with the 1/nx of rfft and
+    the 1/(2 ny) of the y-transforms' inverse.  Both are 0 at the
+    x-Nyquist entry.
+    """
+    half = grid.nx // 2
+    nk = grid.ny - 1 if parity is Parity.ODD else grid.ny + 1
+    phase = np.where(np.arange(half + 1) % 2 == 0, 1.0, -1.0)
+    phase[half] = 0.0
+    weight = np.full(nk, 0.5)
+    if parity is Parity.EVEN:
+        weight[0] = weight[-1] = 1.0
+    scale = _amplitude_scale(grid, parity)[:nk]
+    synthesis = (0.5 * grid.nx) * phase[:, None] * (scale * weight)[None, :]
+    analysis = phase[:, None] * (1.0 / (weight * (2 * grid.ny) * scale))[None, :] / grid.nx
+    for a in (synthesis, analysis):
+        a.setflags(write=False)
+    return synthesis, analysis
+
+
 def to_physical(f: SpectralField) -> PhysicalField:
     """Evaluate the double series at the collocation nodes.
 
-    The x-Nyquist column is dropped on synthesis (forced-zero convention)
-    and Odd wall rows come out exactly zero.
+    Returns the real part of the full complex double sum, also for
+    coefficients without Hermitian symmetry.  The x-Nyquist column is
+    dropped on synthesis (forced-zero convention) and Odd wall rows come
+    out exactly zero.
     """
     grid = f.grid
-    ny = grid.ny
-    a = f.coeff * _amplitude_scale(grid, f.parity)[None, :]
-    a[grid.nyquist_row, :] = 0.0
+    ny, half = grid.ny, grid.nx // 2
+    factor = _half_spectrum_factors(grid, f.parity)[0]
+    nk = factor.shape[1]
+    if nk == 0:
+        return PhysicalField(grid, f.parity, np.zeros((grid.nx, ny + 1)))
 
-    # vertical synthesis on the doubled periodic grid
-    spec = np.zeros((grid.nx, 2 * ny), dtype=np.complex128)
-    if f.parity is Parity.ODD:
-        # sin(k pi n/ny) = (e^{2 pi i k n/(2 ny)} - c.c.)/(2i); the k=ny row
-        # cancels itself (sine Nyquist vanishes at every node)
-        spec[:, 1:ny] = a[:, : ny - 1] * (-0.5j)
-        spec[:, ny + 1 :] = (a[:, : ny - 1] * 0.5j)[:, ::-1]
-    else:
-        spec[:, 0] = a[:, 0]
-        spec[:, 1:ny] = a[:, 1:ny] * 0.5
-        spec[:, ny + 1 :] = (a[:, 1:ny] * 0.5)[:, ::-1]
-        spec[:, ny] = a[:, ny]
-    rows = (np.fft.ifft(spec, axis=1) * (2 * ny))[:, : ny + 1]
+    # Re sum_j c_j e^{i j x} only sees c[j] + conj(c[-j]) for j >= 0
+    c = f.coeff[:, :nk]
+    folded = np.zeros((half + 1, nk), dtype=np.complex128)
+    folded[0] = 2.0 * c[0].real
+    np.conjugate(c[:half:-1], out=folded[1:half])
+    folded[1:half] += c[1:half]
+    folded *= factor
+    cols = irfft(folded, n=grid.nx, axis=0)
 
-    # horizontal synthesis
-    values = (np.fft.ifft(rows * _alt_sign(grid)[:, None], axis=0) * grid.nx).real
-    if f.parity is Parity.ODD:
-        values[:, 0] = 0.0
-        values[:, ny] = 0.0
+    if f.parity is Parity.EVEN:
+        return PhysicalField(grid, f.parity, dct(cols, type=1, axis=1, overwrite_x=True))
+    values = np.zeros((grid.nx, ny + 1))
+    values[:, 1:ny] = dst(cols, type=1, axis=1, overwrite_x=True)
     return PhysicalField(grid, f.parity, values)
 
 
@@ -85,7 +112,7 @@ def to_spectral(f: PhysicalField) -> SpectralField:
         ParityError: Odd input with wall rows that are not (numerically) zero.
     """
     grid = f.grid
-    ny = grid.ny
+    ny, half = grid.ny, grid.nx // 2
     if f.parity is Parity.ODD:
         scale = max(1.0, float(np.abs(f.values).max()))
         worst = max(float(np.abs(f.values[:, 0]).max()), float(np.abs(f.values[:, ny]).max()))
@@ -95,27 +122,24 @@ def to_spectral(f: PhysicalField) -> SpectralField:
                 f"field scale {scale:.3e})"
             )
 
-    rows = np.fft.fft(f.values, axis=0) * _alt_sign(grid)[:, None] / grid.nx
+    coeff = np.zeros(grid.coeff_shape(f.parity), dtype=np.complex128)
+    factor = _half_spectrum_factors(grid, f.parity)[1]
+    nk = factor.shape[1]
+    if nk == 0:
+        return SpectralField(grid, f.parity, coeff)
 
-    doubled = np.empty((grid.nx, 2 * ny), dtype=np.complex128)
-    doubled[:, : ny + 1] = rows
     if f.parity is Parity.ODD:
-        doubled[:, ny + 1 :] = -rows[:, ny - 1 : 0 : -1]
+        # wall rows are zero to BOUNDARY_TOL and carry no sine content
+        rows = dst(f.values[:, 1:ny], type=1, axis=1)
     else:
-        doubled[:, ny + 1 :] = rows[:, ny - 1 : 0 : -1]
-    spec = np.fft.fft(doubled, axis=1) / (2 * ny)
+        rows = dct(f.values, type=1, axis=1)
+    spec = rfft(rows, axis=0)
+    spec *= factor
 
-    nk = grid.coeff_shape(f.parity)[1]
-    a = np.zeros((grid.nx, nk), dtype=np.complex128)
-    if f.parity is Parity.ODD:
-        a[:, : ny - 1] = 2j * spec[:, 1:ny]
-        # k=ny sine row is invisible on this grid; left zero
-    else:
-        a[:, 0] = spec[:, 0]
-        a[:, 1:ny] = 2.0 * spec[:, 1:ny]
-        a[:, ny] = spec[:, ny]
-    coeff = a / _amplitude_scale(grid, f.parity)[None, :]
-    coeff[grid.nyquist_row, :] = 0.0
+    # real input: the negative-j half is the conjugate mirror; the k=ny
+    # sine row is invisible on this grid and left zero
+    coeff[:half, :nk] = spec[:half]
+    coeff[half + 1 :, :nk] = np.conj(spec[half - 1 : 0 : -1])
     return SpectralField(grid, f.parity, coeff)
 
 

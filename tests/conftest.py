@@ -57,3 +57,39 @@ def direct_synthesis(field):
                     total += row_scale[k] * field.coeff[row, col] * phase * basis(k, y)
             out[m, n] = total
     return out.real
+
+
+def direct_projection(grid, values, parity):
+    """Coefficients of collocation values by explicit quadrature sums.
+
+    Rectangle rule in x against exp(-i xi_j x_m); in y the discrete sine
+    (Odd, interior rows) or cosine (Even, trapezoid end weights) sums.
+    Returns the stored-coefficient array with the x-Nyquist column and the
+    invisible k=ny sine row zero.  FFT-independent counterpart of
+    to_spectral.
+    """
+    nx, ny = grid.nx, grid.ny
+    js = xi_index(grid)
+    xs = grid.x_nodes()
+    ys = grid.y_nodes()
+    scale = math.sqrt(math.pi) / grid.half_width_lx
+    ex = np.exp(-1j * math.pi * np.outer(js, xs) / grid.half_width_lx) / nx
+    rows = ex @ values  # (nx modes, ny+1 nodes)
+    if parity is Parity.ODD:
+        ks = np.arange(1, ny + 1)
+        basis = np.sin(math.pi * np.outer(ys, ks)) * (2.0 / ny)
+        row_scale = np.full(ny, scale)
+    else:
+        ks = np.arange(0, ny + 1)
+        w = np.ones(ny + 1)
+        w[0] = w[-1] = 0.5
+        basis = np.cos(math.pi * np.outer(ys, ks)) * (2.0 / ny) * w[:, None]
+        basis[:, 0] *= 0.5
+        basis[:, -1] *= 0.5
+        row_scale = np.full(ny + 1, scale)
+        row_scale[0] = scale / math.sqrt(2.0)
+    coeff = (rows @ basis) / row_scale[None, :]
+    coeff[grid.nyquist_row] = 0.0
+    if parity is Parity.ODD:
+        coeff[:, -1] = 0.0
+    return coeff

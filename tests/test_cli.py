@@ -118,3 +118,31 @@ class TestRuntimeValidation:
         assert code == 2
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "decade" in manifest["summary"]["error"]
+
+    def test_cfl_violation_exits_3_with_its_admissible_dt(self, tmp_path):
+        """A trajectory failure reaches the manifest with its own cause."""
+        from stripflow.config import parse_config
+        from stripflow.solver import make_initial_data, run_trajectory
+
+        settings = {
+            "grid.nx": "64", "grid.ny": "8",
+            "grid.half_width_lx": "314.1592653589793",
+            "profile.amplitude": "1000.0", "stepper.dt": "5.0",
+            "times.t_min": "10", "times.t_max": "1000",
+        }
+        args = ["nonlinear-decay", "--output-dir", str(tmp_path)]
+        for key, value in settings.items():
+            args += ["--set", f"{key}={value}"]
+        assert run_cli(args) == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == []
+        error = manifest["summary"]["error"]
+        assert error.startswith("CflViolation: dt=5 exceeds admissible")
+
+        doc = "\n".join(["experiment = nonlinear-decay"]
+                        + [f"{k} = {v}" for k, v in settings.items()])
+        cfg = parse_config(doc)
+        state0, _ = make_initial_data(cfg.profile(), cfg.grid())
+        result = run_trajectory(state0, cfg.stepper(), 1000.0, [0.0])
+        assert 0 < result.error.admissible_dt < 5.0
+        assert f"{result.error.admissible_dt:g}" in error

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stripflow.errors import CflViolation
+from stripflow.errors import CflViolation, NumericalBlowup
 from stripflow.fields import (
     FlowState,
     InitialProfile,
@@ -17,7 +17,7 @@ from stripflow.fields import (
     xi_index,
 )
 from stripflow.diagnostics import l2_inner
-from stripflow.operators import velocity_from_vorticity
+from stripflow.operators import derivative_x, derivative_y, velocity_from_vorticity
 from stripflow.propagators import propagate_linear_pair
 from stripflow.solver import (
     StepperConfig,
@@ -30,6 +30,8 @@ from stripflow.solver import (
 )
 from stripflow.snapshots import load_state, save_state
 from stripflow.transforms import to_physical
+
+from conftest import direct_projection, direct_synthesis
 
 
 def band_limited_state(grid, rng, amplitude=1.0, fraction=2.0 / 3.0):
@@ -87,6 +89,30 @@ class TestNonlinearTerm:
         # coarse modes outside the dealias band are zeroed
         mask = dealias_mask(coarse, 2.0 / 3.0)
         assert np.all(n_w_coarse.coeff[~mask] == 0.0)
+
+    def test_matches_direct_quadrature_oracle(self, small_grid, rng):
+        """u.grad omega and u.grad theta built from explicit sums.
+
+        Factors are evaluated on the nodes by direct_synthesis, multiplied,
+        projected onto the sine-Fourier basis by explicit quadrature sums
+        and cut to |j| <= nx/3, k <= 2 ny/3: no FFT on the oracle side.
+        """
+        grid = small_grid
+        state = FlowState(0.0, random_field(grid, Parity.ODD, rng),
+                          random_field(grid, Parity.ODD, rng))
+        u1, u2 = velocity_from_vorticity(state.omega)
+        u1_g, u2_g = direct_synthesis(u1), direct_synthesis(u2)
+        j = np.abs(xi_index(grid))[:, None]
+        k = np.arange(1, grid.ny + 1)[None, :]
+        keep = (3 * j <= grid.nx) & (3 * k <= 2 * grid.ny)
+
+        for got, f in zip(nonlinear_term(state), (state.omega, state.theta)):
+            product = (u1_g * direct_synthesis(derivative_x(f))
+                       + u2_g * direct_synthesis(derivative_y(f)))
+            expected = direct_projection(grid, product, Parity.ODD) * keep
+            assert np.abs(expected).max() > 0
+            assert (np.abs(got.coeff - expected).max()
+                    <= 1e-12 * np.abs(expected).max())
 
     def test_transport_skew_symmetry(self, medium_grid, rng):
         """<u.grad omega, omega> and <u.grad theta, theta> vanish discretely."""
@@ -308,8 +334,6 @@ class TestSnapshots:
 class TestBlowupDetection:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_state_aborts_with_mode_index(self, medium_grid):
-        from stripflow.errors import NumericalBlowup
-
         omega = SpectralField.zeros(medium_grid, Parity.ODD)
         theta = SpectralField.zeros(medium_grid, Parity.ODD)
         omega.coeff[3, 2] = np.nan
@@ -328,6 +352,8 @@ class TestBlowupDetection:
         result = run_trajectory(state, StepperConfig(dt=0.1), 1.0, [0.5, 1.0])
         assert not result.completed
         assert "non-finite" in result.failure
+        assert isinstance(result.error, NumericalBlowup)
+        assert str(result.error) == result.failure
 
 
 class TestCrossModuleConsistency:

@@ -24,7 +24,7 @@ from stripflow.transforms import (
     to_spectral,
 )
 
-from conftest import direct_synthesis
+from conftest import direct_projection, direct_synthesis
 
 
 class TestToPhysical:
@@ -59,6 +59,58 @@ class TestToPhysical:
         back = to_spectral(to_physical(f))
         err = np.abs(back.coeff - f.coeff).max() / np.abs(f.coeff).max()
         assert err < 1e-12
+
+
+class TestRealTransformFold:
+    """The half-spectrum fold against the direct double sum."""
+
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+    def test_non_hermitian_input_gives_real_part_of_full_sum(self, small_grid, rng, parity):
+        shape = small_grid.coeff_shape(parity)
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = SpectralField(small_grid, parity, coeff)
+        expected = direct_synthesis(f)
+        values = to_physical(f).values
+        assert np.abs(values - expected).max() < 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("ny", [1, 2])
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+    def test_shallow_grids(self, rng, ny, parity):
+        grid = StripGrid(half_width_lx=2.0 * math.pi, nx=8, ny=ny, nu=1.0)
+        shape = grid.coeff_shape(parity)
+        f = SpectralField(grid, parity, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+        values = to_physical(f).values
+        expected = direct_synthesis(f)
+        assert np.abs(values - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+        if parity is Parity.ODD:
+            assert np.all(values[:, 0] == 0.0) and np.all(values[:, -1] == 0.0)
+
+        band = random_field(grid, parity, rng)
+        back = to_spectral(to_physical(band))
+        scale = max(np.abs(band.coeff).max(), 1.0)
+        assert np.abs(back.coeff - band.coeff).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+    def test_round_trip_of_data_that_is_not_band_limited(self, small_grid, rng, parity):
+        """Random nodal data lose exactly their x-Nyquist part.
+
+        The band-limited space omits only the alternating x column, so
+        synthesis of to_spectral returns the data minus its projection on
+        (-1)^m; the coefficients match the explicit quadrature sums.
+        """
+        values = rng.standard_normal((small_grid.nx, small_grid.ny + 1))
+        if parity is Parity.ODD:
+            values[:, 0] = values[:, -1] = 0.0
+        f = to_spectral(PhysicalField(small_grid, parity, values))
+
+        expected = direct_projection(small_grid, values, parity)
+        assert np.abs(f.coeff - expected).max() < 1e-12 * np.abs(expected).max()
+
+        alt = np.where(np.arange(small_grid.nx) % 2 == 0, 1.0, -1.0)
+        nyquist_part = np.outer(alt, alt @ values / small_grid.nx)
+        back = direct_synthesis(f)
+        assert np.abs(back - (values - nyquist_part)).max() < 1e-12 * np.abs(values).max()
 
 
 class TestToSpectral:
