@@ -17,7 +17,13 @@ import numpy as np
 
 from .diagnostics import DecayCurve, NormId, seminorm_weight
 from .fields import InitialProfile
-from .propagators import classify_region, pair_derivatives, pair_values, sigma_lambda
+from .propagators import (
+    classify_region,
+    pair_derivatives,
+    pair_exponential,
+    pair_values,
+    sigma_lambda,
+)
 
 #: nu*^2 = sup over (xi, k) of 4 xi^2 / (xi^2 + pi^2 k^2)^3, attained at
 #: k = 1, xi^2 = pi^2 / 2; closed form 16 / (27 pi^4).
@@ -321,26 +327,18 @@ def kernel_decay_integral_polar(t):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Continuum xi-quadrature: cutoff, panel resolution and rule."""
+    """Continuum xi-quadrature: cutoff and Gauss-Legendre panel resolution."""
 
     xi_cutoff: float = 8.0
     xi_points: int = 64
     k_max: int = 64
-    rule: str = "gauss-legendre-composite"
 
     def __post_init__(self):
-        if self.rule not in ("gauss-legendre-composite", "trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.xi_cutoff <= 0 or self.xi_points < 8 or self.k_max < 1:
             raise ValueError("invalid quadrature parameters")
 
     def nodes(self):
         """Positive-axis nodes and weights (integrands here are even in xi)."""
-        if self.rule == "trapezoid":
-            x = np.linspace(0.0, self.xi_cutoff, 16 * self.xi_points + 1)
-            w = np.full_like(x, x[1] - x[0])
-            w[0] = w[-1] = 0.5 * (x[1] - x[0])
-            return x, w
         base = np.array([0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0])
         edges = base[base < self.xi_cutoff].tolist() + [self.xi_cutoff]
         return _gauss_panels(edges, self.xi_points)
@@ -394,9 +392,9 @@ def continuum_linear_decay(profile: InitialProfile, nu, norms, times,
                 w = w * (1.0 + xi**2 + kpi**2) ** (nid.m / 2.0)
             weights.append(w)
         for it, t in enumerate(times):
-            l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
-            th = np.abs((l1 + 0.5 * nu * p * l2) * theta0[k] + (1j * xi / p) * l2 * omega0[k])
-            om = np.abs((l1 - 0.5 * nu * p * l2) * omega0[k] + 1j * xi * l2 * theta0[k])
+            m11, m12, m21, m22 = pair_exponential(xi, p, sigma, (lam_p, lam_m), nu, t)
+            th = np.abs(m22 * theta0[k] + m21 * omega0[k])
+            om = np.abs(m11 * omega0[k] + m12 * theta0[k])
             for i, (field_name, nid) in enumerate(norms):
                 v = th if field_name == "theta" else om
                 wv = weights[i] * v

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import InitialProfile, ProfileComponent, StripGrid
-from .solver import SCHEMES, StepperConfig
+from .solver import StepperConfig
 
 EXPERIMENTS = (
     "linear-decay-continuum",
@@ -190,8 +190,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("viscosities must be > 0", key="bounds.nus")
     if cfg.oracle_modes < 1:
         raise ConfigError("modes must be >= 1", key="oracle.modes")
-    if cfg.stepper_scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}", key="stepper.scheme")
 
 
 def _field_key(message, section):

@@ -224,6 +224,7 @@ class EnergyReport:
     delta_energy: float
     dissipation: float
     flux: float
+    nu: float
 
     @property
     def residual_linear(self):
@@ -237,55 +238,31 @@ class EnergyReport:
         scale = max(abs(self.delta_energy), self.dissipation, 1e-300)
         return abs(self.delta_energy + self.dissipation - self.flux) / scale
 
+    def thinned(self, stride):
+        """The report of every ``stride``-th snapshot, from the stored terms.
 
-def energy_report(traj, nu, nonlinear_terms=None) -> EnergyReport:
-    """Energy, dissipation, transport flux and the exact-cancellation term B3.
+        Equal to energy_report on those snapshots, without evaluating them
+        again.  ``stride`` must divide the number of intervals, so the
+        thinned report covers the same time span.
+        """
+        if (len(self.times) - 1) % stride != 0:
+            raise ValueError(
+                f"stride {stride} does not divide {len(self.times) - 1} intervals"
+            )
+        return _energy_balance(
+            self.times[::stride], self.energy[::stride], self.grad_omega_sq[::stride],
+            self.b1[::stride], self.b2[::stride], self.b3[::stride], self.nu,
+        )
 
-    Args:
-        traj: list of FlowState snapshots, uniformly spaced in time
-        nu: viscosity used in the dissipation integral
-        nonlinear_terms: optional callable state -> (N_omega, N_theta)
-            matching the solver's discretization; when omitted the flux
-            terms are reported as zero (exact for linear trajectories).
 
-    Raises:
-        ValueError: fewer than 3 snapshots or non-uniform spacing.
-        GridMismatchError: snapshots on different grids.
-    """
-    if len(traj) < 3:
+def _energy_balance(times, energy, grad_omega_sq, b1, b2, b3, nu):
+    """Trapezoid dissipation and flux integrals over uniform snapshots."""
+    if len(times) < 3:
         raise ValueError("need at least 3 snapshots")
-    times = np.array([s.t for s in traj])
     h = np.diff(times)
     if np.any(h <= 0) or np.abs(h - h[0]).max() > 1e-9 * h[0]:
         raise ValueError("snapshots must be uniformly spaced in time")
-    grid = traj[0].grid
-    for s in traj:
-        if s.grid != grid:
-            raise GridMismatchError("snapshots on different grids")
-
-    n = len(traj)
-    energy = np.empty(n)
-    grad_omega_sq = np.empty(n)
-    b1 = np.zeros(n)
-    b2 = np.zeros(n)
-    b3 = np.empty(n)
-    for i, s in enumerate(traj):
-        energy[i] = grad_inner(s.theta, s.theta) + l2_inner(s.omega, s.omega)
-        grad_omega_sq[i] = grad_inner(s.omega, s.omega)
-        # B3 = <grad d/dx (-Lap)^{-1} omega, grad theta> + <d/dx theta, omega>
-        xi = xi_values(grid)[:, None]
-        stream_dx = 1j * xi * poisson_inverse(s.omega).coeff
-        term1 = np.real(
-            np.sum(laplace_symbol(grid, Parity.ODD) * stream_dx * np.conj(s.theta.coeff))
-        )
-        term2 = np.real(np.sum(1j * xi * s.theta.coeff * np.conj(s.omega.coeff)))
-        b3[i] = (term1 + term2) * grid.dxi
-        if nonlinear_terms is not None:
-            n_omega, n_theta = nonlinear_terms(s)
-            b1[i] = -l2_inner(n_omega, s.omega)
-            b2[i] = -grad_inner(n_theta, s.theta)
-
-    w = np.full(n, h[0])
+    w = np.full(len(times), h[0])
     w[0] = w[-1] = 0.5 * h[0]
     dissipation = 2.0 * nu * float(np.sum(w * grad_omega_sq))
     flux = 2.0 * float(np.sum(w * (b1 + b2)))
@@ -299,6 +276,53 @@ def energy_report(traj, nu, nonlinear_terms=None) -> EnergyReport:
         delta_energy=float(energy[-1] - energy[0]),
         dissipation=dissipation,
         flux=flux,
+        nu=nu,
+    )
+
+
+def energy_report(traj, nu, nonlinear_terms=None) -> EnergyReport:
+    """Energy, dissipation, transport flux and the exact-cancellation term B3.
+
+    Args:
+        traj: iterable of FlowState snapshots, uniformly spaced in time;
+            each snapshot is read once, so a generator keeps memory at a
+            few lattices however long the trajectory
+        nu: viscosity used in the dissipation integral
+        nonlinear_terms: optional callable state -> (N_omega, N_theta)
+            matching the solver's discretization; when omitted the flux
+            terms are reported as zero (exact for linear trajectories).
+
+    Raises:
+        ValueError: fewer than 3 snapshots or non-uniform spacing.
+        GridMismatchError: snapshots on different grids.
+    """
+    times, energy, grad_omega_sq, b1, b2, b3 = [], [], [], [], [], []
+    grid = None
+    for s in traj:
+        if grid is None:
+            grid = s.grid
+            xi = xi_values(grid)[:, None]
+            lap = laplace_symbol(grid, Parity.ODD)
+        elif s.grid != grid:
+            raise GridMismatchError("snapshots on different grids")
+        times.append(s.t)
+        energy.append(grad_inner(s.theta, s.theta) + l2_inner(s.omega, s.omega))
+        grad_omega_sq.append(grad_inner(s.omega, s.omega))
+        # B3 = <grad d/dx (-Lap)^{-1} omega, grad theta> + <d/dx theta, omega>
+        stream_dx = 1j * xi * poisson_inverse(s.omega).coeff
+        term1 = np.real(np.sum(lap * stream_dx * np.conj(s.theta.coeff)))
+        term2 = np.real(np.sum(1j * xi * s.theta.coeff * np.conj(s.omega.coeff)))
+        b3.append((term1 + term2) * grid.dxi)
+        if nonlinear_terms is not None:
+            n_omega, n_theta = nonlinear_terms(s)
+            b1.append(-l2_inner(n_omega, s.omega))
+            b2.append(-grad_inner(n_theta, s.theta))
+
+    if nonlinear_terms is None:
+        b1 = b2 = [0.0] * len(times)
+    return _energy_balance(
+        np.array(times), np.array(energy), np.array(grad_omega_sq),
+        np.array(b1), np.array(b2), np.array(b3), nu,
     )
 
 

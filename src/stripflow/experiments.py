@@ -34,7 +34,7 @@ from .errors import ConfigError, StripflowError
 from .oracles import pair_reference, relative_gap
 from .propagators import (
     classify_region,
-    pair_values,
+    pair_exponential,
     propagate_linear_pair,
     sigma_lambda,
 )
@@ -282,13 +282,15 @@ def _run_energy_check(cfg, out_dir):
     grid = cfg.grid()
     state0, _ = make_initial_data(cfg.profile(), grid)
 
-    def tabulate(n_snap):
-        ts = np.linspace(0.0, 1.0, n_snap)
-        states = [propagate_linear_pair(state0.omega, state0.theta, t) for t in ts]
-        return energy_report(states, grid.nu)
-
-    fine = tabulate(4001)
-    coarse = tabulate(2001)
+    # a generator: energy_report reads each snapshot once, so memory stays
+    # at a few lattices however many times are tabulated
+    states = (
+        propagate_linear_pair(state0.omega, state0.theta, t)
+        for t in np.linspace(0.0, 1.0, 4001)
+    )
+    fine = energy_report(states, grid.nu)
+    # every other time of the 4001-point tabulation is the 2001-point one
+    coarse = fine.thinned(2)
     rows = ["t,energy,grad_omega_sq,b3"]
     for i in range(len(fine.times)):
         rows.append(
@@ -325,15 +327,11 @@ def _run_oracle_suite(cfg, out_dir):
         y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         scale0 = float(np.linalg.norm(y0))
         ref = pair_reference(xi, k, nu, y0, eval_times)
-        p, sigma, lam_p, lam_m = sigma_lambda(np.array([xi]), k, nu)
+        xi_arr = np.array([xi])
+        p, sigma, lam_p, lam_m = sigma_lambda(xi_arr, k, nu)
         for i, t in enumerate(eval_times):
-            l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
-            m = np.array(
-                [
-                    [l1[0] - 0.5 * nu * p[0] * l2[0], 1j * xi * l2[0]],
-                    [1j * xi / p[0] * l2[0], l1[0] + 0.5 * nu * p[0] * l2[0]],
-                ]
-            )
+            m11, m12, m21, m22 = pair_exponential(xi_arr, p, sigma, (lam_p, lam_m), nu, t)
+            m = np.array([[m11[0], m12[0]], [m21[0], m22[0]]])
             gap = relative_gap(m @ y0, ref[i], scale0)
             worst = max(worst, gap)
             rows.append(f"{float(xi)!r},{k},{float(nu)!r},{float(t)!r},{float(gap)!r}")

@@ -309,28 +309,40 @@ def _grid_symbols(grid: StripGrid):
     return p, sigma, lam_p, lam_m
 
 
-def pair_matrix(grid: StripGrid, t: float):
-    """Entries of exp(tA) on the Odd lattice: (m11, m12, m21, m22).
+def pair_exponential(xi, p, sigma, lam, nu, t):
+    """Entries (m11, m12, m21, m22) of exp(tA), elementwise over the modes.
 
     m11 = l1 - (nu p / 2) l2, m12 = i xi l2, m21 = (i xi / p) l2,
-    m22 = l1 + (nu p / 2) l2.  The xi = 0 column decouples and is set
-    explicitly: omega decays by the heat factor, theta is frozen.
+    m22 = l1 + (nu p / 2) l2, with p, sigma and lam = (lambda_+, lambda_-)
+    from sigma_lambda.  xi runs along their leading axis, shape (n,) or
+    (n, 1).  A xi = 0 mode decouples and is set explicitly: omega decays
+    by the heat factor, theta is frozen.
     """
-    nu = grid.nu
-    xi = xi_values(grid)[:, None]
-    p, sigma, lam_p, lam_m = _grid_symbols(grid)
-    l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
-    m11 = l1 - 0.5 * nu * p * l2
+    l1, l2 = pair_values(nu * p, sigma, t, lam=lam)
+    damped = 0.5 * nu * p * l2
+    m11 = l1 - damped
     m12 = 1j * xi * l2
     m21 = (1j * xi / p) * l2
-    m22 = l1 + 0.5 * nu * p * l2
+    m22 = l1 + damped
 
-    zero_col = (xi == 0.0)[:, 0]
-    m11[zero_col] = np.exp(-nu * p[zero_col] * t)
-    m12[zero_col] = 0.0
-    m21[zero_col] = 0.0
-    m22[zero_col] = 1.0
+    zero = (xi == 0.0).ravel()
+    if zero.any():
+        m11[zero] = np.exp(-nu * p[zero] * t)
+        m12[zero] = 0.0
+        m21[zero] = 0.0
+        m22[zero] = 1.0
     return m11, m12, m21, m22
+
+
+def pair_matrix(grid: StripGrid, t: float, rows=slice(None)):
+    """pair_exponential on the grid's Odd lattice, at the sine rows ``rows``.
+
+    ``rows`` indexes the k axis (column k - 1 of the coefficient array);
+    the entries have one column per selected row.
+    """
+    p, sigma, lam_p, lam_m = (a[:, rows] for a in _grid_symbols(grid))
+    xi = xi_values(grid)[:, None]
+    return pair_exponential(xi, p, sigma, (lam_p, lam_m), grid.nu, t)
 
 
 @lru_cache(maxsize=4)
@@ -349,7 +361,12 @@ def pair_step_matrix(grid: StripGrid, t: float):
 def propagate_linear_pair(
     omega0: SpectralField, theta0: SpectralField, t: float
 ) -> FlowState:
-    """Evolve the coupled linear pair exactly by its matrix exponential."""
+    """Evolve the coupled linear pair exactly by its matrix exponential.
+
+    exp(tA) has finite entries, so it maps a zero mode to zero: only the
+    sine rows where omega0 or theta0 holds a nonzero coefficient (NaN and
+    inf included) are evaluated, and the cost scales with those rows.
+    """
     require_parity(omega0, Parity.ODD, "propagate_linear_pair")
     require_parity(theta0, Parity.ODD, "propagate_linear_pair")
     if omega0.grid != theta0.grid:
@@ -357,9 +374,12 @@ def propagate_linear_pair(
     if t < 0:
         raise ValueError("t must be >= 0")
     grid = omega0.grid
-    m11, m12, m21, m22 = pair_matrix(grid, float(t))
-    w = m11 * omega0.coeff + m12 * theta0.coeff
-    th = m21 * omega0.coeff + m22 * theta0.coeff
+    rows = np.flatnonzero(np.any(omega0.coeff, axis=0) | np.any(theta0.coeff, axis=0))
+    m11, m12, m21, m22 = pair_matrix(grid, float(t), rows)
+    om, th0 = omega0.coeff[:, rows], theta0.coeff[:, rows]
+    w, th = np.zeros_like(omega0.coeff), np.zeros_like(theta0.coeff)
+    w[:, rows] = m11 * om + m12 * th0
+    th[:, rows] = m21 * om + m22 * th0
     return FlowState(
         t=float(t),
         omega=SpectralField(grid, Parity.ODD, w),

@@ -20,7 +20,7 @@ from stripflow.analysis import (
 )
 from stripflow.diagnostics import NormId, fit_rate
 from stripflow.fields import InitialProfile, ProfileComponent, StripGrid
-from stripflow.propagators import classify_region
+from stripflow.propagators import classify_region, pair_values, sigma_lambda
 
 
 class TestNuStar:
@@ -170,6 +170,30 @@ class TestContinuumDecay:
             profile, 0.1, [("theta", NormId.l2hat())], times
         )
         assert np.all(curve.values > 0)
+
+    def test_matches_inline_pair_formulas(self):
+        """The curves equal a direct evaluation of the exp(tA) entries
+        written out per node, as the continuum code used to do it."""
+        profile = InitialProfile(
+            theta=(ProfileComponent(k=2, amplitude=1.0, xi_scale=0.5),),
+            omega=(ProfileComponent(k=2, amplitude=0.3),),
+        )
+        norms = [("theta", NormId.l2hat()), ("omega", NormId.l1hat(weight="xi"))]
+        times = np.array([0.5, 3.0, 40.0])
+        for nu in (0.01, 1.0):
+            curves = continuum_linear_decay(profile, nu, norms, times)
+            xi, w_xi = QuadratureSpec().nodes()
+            theta0 = profile.theta[0].envelope(xi)
+            omega0 = profile.omega[0].envelope(xi)
+            p, sigma, lam_p, lam_m = sigma_lambda(xi, 2, nu)
+            for it, t in enumerate(times):
+                l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
+                th = np.abs((l1 + 0.5 * nu * p * l2) * theta0 + (1j * xi / p) * l2 * omega0)
+                om = np.abs((l1 - 0.5 * nu * p * l2) * omega0 + 1j * xi * l2 * theta0)
+                want_th = math.sqrt(2.0 * float(np.sum(w_xi * th**2)))
+                want_om = 2.0 * float(np.sum(w_xi * np.abs(xi) * om))
+                assert curves[0].values[it] == pytest.approx(want_th, rel=1e-14)
+                assert curves[1].values[it] == pytest.approx(want_om, rel=1e-14)
 
     def test_ladder_table_is_consistent(self):
         labels = {(field, nid.label) for field, nid, _ in CONTINUUM_LADDER}

@@ -67,8 +67,9 @@ class TestValidation:
             parse_config("experiment = frobnicate\n")
 
     def test_bad_scheme(self):
-        with pytest.raises(ConfigError, match="scheme"):
+        with pytest.raises(ConfigError, match="scheme") as exc:
             parse_config("experiment = nonlinear-decay\nstepper.scheme = euler\n")
+        assert exc.value.key == "stepper.scheme"
 
     def test_bad_window(self):
         with pytest.raises(ConfigError, match="t_min"):

@@ -16,7 +16,7 @@ from stripflow.diagnostics import (
     norm,
     theorem_suite,
 )
-from stripflow.errors import WindowTooShort
+from stripflow.errors import GridMismatchError, WindowTooShort
 from stripflow.fields import (
     FlowState,
     Parity,
@@ -173,6 +173,41 @@ class TestEnergyReport:
         traj = [FlowState(t, zero.copy(), zero.copy()) for t in (0.0, 0.4, 1.0)]
         with pytest.raises(ValueError, match="uniformly spaced"):
             energy_report(traj, small_grid.nu)
+
+    def test_generator_input_equals_list_input(self, medium_grid, rng):
+        traj = linear_snapshots(medium_grid, rng, 9, 1.0)
+        from_list = energy_report(traj, medium_grid.nu)
+        from_gen = energy_report((s for s in traj), medium_grid.nu)
+        for name in ("times", "energy", "grad_omega_sq", "b1", "b2", "b3"):
+            assert np.array_equal(getattr(from_gen, name), getattr(from_list, name))
+        assert from_gen.residual_linear == from_list.residual_linear
+
+    def test_thinned_equals_report_on_every_other_snapshot(self, medium_grid, rng):
+        traj = linear_snapshots(medium_grid, rng, 9, 1.0)
+        thinned = energy_report(traj, medium_grid.nu).thinned(2)
+        direct = energy_report(traj[::2], medium_grid.nu)
+        for name in ("times", "energy", "grad_omega_sq", "b1", "b2", "b3"):
+            assert np.array_equal(getattr(thinned, name), getattr(direct, name))
+        assert thinned.dissipation == direct.dissipation
+        assert thinned.residual_linear == direct.residual_linear
+        with pytest.raises(ValueError, match="at least 3"):
+            energy_report(traj[:5], medium_grid.nu).thinned(4)
+        with pytest.raises(ValueError, match="does not divide 8 intervals"):
+            energy_report(traj, medium_grid.nu).thinned(3)
+
+    def test_streamed_snapshots_keep_their_checks(self, small_grid, medium_grid):
+        def states(grids, times):
+            return (FlowState(t, SpectralField.zeros(g, Parity.ODD),
+                              SpectralField.zeros(g, Parity.ODD))
+                    for g, t in zip(grids, times))
+
+        with pytest.raises(ValueError, match="at least 3"):
+            energy_report(states([small_grid] * 2, [0.0, 1.0]), 1.0)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            energy_report(states([small_grid] * 3, [0.0, 0.4, 1.0]), 1.0)
+        with pytest.raises(GridMismatchError, match="different grids"):
+            energy_report(states([small_grid, medium_grid, small_grid],
+                                 [0.0, 0.5, 1.0]), 1.0)
 
     def test_nonlinear_flux_closes_balance(self):
         """Full balance dE/dt + 2 nu |grad omega|^2 = flux on a solver run."""

@@ -13,6 +13,8 @@ from stripflow.propagators import (
     heat_semigroup,
     mode_symbol,
     pair_derivatives,
+    pair_exponential,
+    pair_matrix,
     pair_step_matrix,
     pair_values,
     propagate_linear_pair,
@@ -384,6 +386,81 @@ class TestPropagateLinearPair:
         m11, _, _, _ = pair_step_matrix(small_grid, 0.25)
         with pytest.raises(ValueError):
             m11[0, 0] = 0.0
+
+    @staticmethod
+    def _data_on_rows(grid, rng, rows, fields):
+        """Random Hermitian data kept on the sine-row columns ``rows`` only."""
+        empty = np.ones(grid.ny, dtype=bool)
+        empty[list(rows)] = False
+        out = []
+        for name in ("omega", "theta"):
+            f = random_field(grid, Parity.ODD, rng)
+            f.coeff[:, empty] = 0.0
+            if name not in fields:
+                f.coeff[:] = 0.0
+            out.append(f)
+        return out
+
+    @pytest.mark.parametrize("fields", [("omega", "theta"), ("omega",), ("theta",)])
+    @pytest.mark.parametrize("rows", [(0,), (4,), (6,), (1, 3), tuple(range(7))])
+    def test_occupied_rows_equal_dense_product(self, medium_grid, rng, rows, fields):
+        """Evaluating only the occupied rows changes no bit of the output."""
+        omega0, theta0 = self._data_on_rows(medium_grid, rng, rows, fields)
+        for t in (0.0, 0.3, 5.0, 250.0):
+            m11, m12, m21, m22 = pair_matrix(medium_grid, t)
+            out = propagate_linear_pair(omega0, theta0, t)
+            assert np.array_equal(out.omega.coeff, m11 * omega0.coeff + m12 * theta0.coeff)
+            assert np.array_equal(out.theta.coeff, m21 * omega0.coeff + m22 * theta0.coeff)
+
+    def test_zero_data_stay_zero(self, medium_grid):
+        zero = SpectralField.zeros(medium_grid, Parity.ODD)
+        out = propagate_linear_pair(zero, zero, 2.0)
+        assert not out.omega.coeff.any()
+        assert not out.theta.coeff.any()
+
+    def test_nan_in_an_empty_row_is_not_skipped(self, medium_grid, rng):
+        """A blow-up in a row with no other data still reaches the output."""
+        omega0, theta0 = self._data_on_rows(medium_grid, rng, (0,), ("theta",))
+        omega0.coeff[5, 3] = np.nan
+        out = propagate_linear_pair(omega0, theta0, 1.5)
+        for f in (out.omega, out.theta):
+            assert not np.isfinite(f.coeff[:, 3]).all()
+            assert np.isfinite(f.coeff[:, [0, 1, 2, 4, 5, 6, 7]]).all()
+
+
+class TestPairExponential:
+    CASES = [(0.0, 1, 1.0, 2.0), (0.37, 1, 0.01, 10.0), (-4.799, 1, 0.01, 100.0),
+             (12.5, 7, NU_STAR, 0.1), (-50.0, 32, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("xi, k, nu, t", CASES)
+    def test_matches_former_inline_entries(self, xi, k, nu, t):
+        """The kernel reproduces the entries the analysis and oracle code
+        used to build inline, bit for bit, plus the xi = 0 override."""
+        xi_arr = np.array([xi])
+        p, sigma, lam_p, lam_m = sigma_lambda(xi_arr, k, nu)
+        l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
+        inline = (l1 - 0.5 * nu * p * l2, 1j * xi_arr * l2,
+                  (1j * xi_arr / p) * l2, l1 + 0.5 * nu * p * l2)
+        got = pair_exponential(xi_arr, p, sigma, (lam_p, lam_m), nu, t)
+        if xi == 0.0:
+            inline = (np.exp(-nu * p * t), 0.0, 0.0, 1.0)
+        for g, want in zip(got, inline):
+            assert np.array_equal(g, np.broadcast_to(want, g.shape))
+
+    def test_exponential_agrees_with_matrix_expm(self):
+        """exp(tA) by the kernel against a 50-digit matrix exponential."""
+        mpmath.mp.dps = 50
+        for xi, k, nu, t in self.CASES[1:]:
+            xi_arr = np.array([xi])
+            p, sigma, lam_p, lam_m = sigma_lambda(xi_arr, k, nu)
+            got = pair_exponential(xi_arr, p, sigma, (lam_p, lam_m), nu, t)
+            pm = mpmath.mpf(xi) ** 2 + (mpmath.pi * k) ** 2
+            a = mpmath.matrix([[-nu * pm, 1j * mpmath.mpf(xi)], [1j * mpmath.mpf(xi) / pm, 0]])
+            ref = mpmath.expm(a * t)
+            want = [complex(ref[0, 0]), complex(ref[0, 1]), complex(ref[1, 0]), complex(ref[1, 1])]
+            scale = max(abs(w) for w in want)
+            for g, w in zip(got, want):
+                assert abs(complex(g[0]) - w) <= 1e-12 * scale
 
 
 class TestHeatSemigroupEvenParity:
