@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DecayCurve, NormId, seminorm_weight
+from .diagnostics import DecayCurve, NormId, norm_weight
 from .fields import InitialProfile
 from .propagators import (
     classify_region,
@@ -385,12 +385,7 @@ def continuum_linear_decay(profile: InitialProfile, nu, norms, times,
     for k in k_rows:
         p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
         kpi = math.pi * k
-        weights = []
-        for _, nid in norms:
-            w = seminorm_weight(nid.weight, xi, np.full_like(xi, kpi))
-            if nid.kind == "sobolev_hm":
-                w = w * (1.0 + xi**2 + kpi**2) ** (nid.m / 2.0)
-            weights.append(w)
+        weights = [norm_weight(nid, xi, kpi) for _, nid in norms]
         for it, t in enumerate(times):
             m11, m12, m21, m22 = pair_exponential(xi, p, sigma, (lam_p, lam_m), nu, t)
             th = np.abs(m22 * theta0[k] + m21 * omega0[k])

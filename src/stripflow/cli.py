@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import EXPERIMENTS, _SCHEMA, parse_config, validate_config
+from .config import EXPERIMENTS, SCHEMA, parse_config
 from .errors import ConfigError
 from .experiments import EXIT_CONFIG, run
 
@@ -76,11 +76,9 @@ def _effective_config(args):
     merged.extend(doc_lines)
 
     for key in override_keys:
-        if key and key not in _SCHEMA:
+        if key and key not in SCHEMA:
             raise ConfigError("unknown key", key=key)
-    cfg = parse_config("\n".join(merged))
-    validate_config(cfg)
-    return cfg, overrides
+    return parse_config("\n".join(merged)), overrides
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,18 @@
 """Experiment configuration: a strict plain-text key/value document.
 
 Format: one ``key = value`` per line, ``#`` starts a comment, keys use
-dotted sections (``grid.nx``).  Unknown keys are errors (a silent typo in
-nu or the amplitude would invalidate smallness assumptions unnoticed);
-defaults apply only to absent keys and are echoed back by serialization,
-so serialize(parse(text)) round-trips to an equal config.
+dotted sections (``grid.nx``).  The keys are derived from the fields of
+``ExperimentConfig``: a section prefix becomes the dotted key
+(``grid_nx`` -> ``grid.nx``), other names stay as they are
+(``output_dir``), and the annotation picks the parser and formatter.
+Unknown keys are errors (a silent typo in nu or the amplitude would
+invalidate smallness assumptions unnoticed); defaults apply only to absent
+keys and are echoed back by serialization, so serialize(parse(text))
+round-trips to an equal config.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,32 +100,25 @@ def _parse_float_list(text):
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-#: document key -> (attribute, parser, formatter)
-_SCHEMA = {
-    "experiment": ("experiment", str, str),
-    "output_dir": ("output_dir", str, str),
-    "seed": ("seed", int, repr),
-    "grid.half_width_lx": ("grid_half_width_lx", float, repr),
-    "grid.nx": ("grid_nx", int, repr),
-    "grid.ny": ("grid_ny", int, repr),
-    "grid.nu": ("grid_nu", float, repr),
-    "stepper.dt": ("stepper_dt", float, repr),
-    "stepper.cfl_safety": ("stepper_cfl_safety", float, repr),
-    "stepper.dealias_fraction": ("stepper_dealias_fraction", float, repr),
-    "stepper.scheme": ("stepper_scheme", str, str),
-    "profile.k": ("profile_k", int, repr),
-    "profile.amplitude": ("profile_amplitude", float, repr),
-    "profile.xi_scale": ("profile_xi_scale", float, repr),
-    "times.t_min": ("times_t_min", float, repr),
-    "times.t_max": ("times_t_max", float, repr),
-    "times.per_decade": ("times_per_decade", int, repr),
-    "bounds.samples": ("bounds_samples", int, repr),
-    "bounds.nus": ("bounds_nus", _parse_float_list,
-                   lambda v: ",".join(repr(x) for x in v)),
-    "oracle.modes": ("oracle_modes", int, repr),
+#: annotation -> (parser, formatter)
+_CODECS = {
+    str: (str, str),
+    int: (int, repr),
+    float: (float, repr),
+    tuple: (_parse_float_list, lambda v: ",".join(repr(x) for x in v)),
 }
+_SECTIONS = ("grid", "stepper", "profile", "times", "bounds", "oracle")
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _SCHEMA.items()}
+
+def _key(name):
+    section, _, rest = name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else name
+
+
+#: document key -> (attribute, parser, formatter), in field order
+SCHEMA = {
+    _key(f.name): (f.name, *_CODECS[f.type]) for f in fields(ExperimentConfig)
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -144,11 +139,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in SCHEMA:
             raise ConfigError("unknown key", key=key, line=lineno)
         if key in values:
             raise ConfigError("duplicate key", key=key, line=lineno)
-        attr, parser, _ = _SCHEMA[key]
+        attr, parser, _ = SCHEMA[key]
         try:
             values[attr] = parser(val)
         except ValueError:
@@ -168,6 +163,11 @@ def validate_config(cfg: ExperimentConfig):
             f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}",
             key="experiment",
         )
+    for key, (attr, _, _) in SCHEMA.items():
+        value = getattr(cfg, attr)
+        entries = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(x) for x in entries if isinstance(x, float)):
+            raise ConfigError(f"value must be finite, got {value!r}", key=key)
     try:
         cfg.grid()
     except ValueError as exc:
@@ -178,6 +178,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(str(exc), key=_field_key(str(exc), "stepper"))
     if cfg.profile_k < 1:
         raise ConfigError("profile k must be >= 1", key="profile.k")
+    if cfg.profile_amplitude == 0:
+        raise ConfigError("amplitude must be nonzero", key="profile.amplitude")
     if not cfg.profile_xi_scale > 0:
         raise ConfigError("xi_scale must be > 0", key="profile.xi_scale")
     if not 0 < cfg.times_t_min < cfg.times_t_max:
@@ -186,6 +188,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("per_decade must be >= 1", key="times.per_decade")
     if cfg.bounds_samples < 1:
         raise ConfigError("samples must be >= 1", key="bounds.samples")
+    if not cfg.bounds_nus:
+        raise ConfigError("need at least one viscosity", key="bounds.nus")
     if any(nu <= 0 for nu in cfg.bounds_nus):
         raise ConfigError("viscosities must be > 0", key="bounds.nus")
     if cfg.oracle_modes < 1:
@@ -193,20 +197,18 @@ def validate_config(cfg: ExperimentConfig):
 
 
 def _field_key(message, section):
-    for word in ("half_width_lx", "nx", "ny", "nu", "dt", "cfl_safety",
-                 "dealias_fraction", "scheme"):
-        if word in message:
-            return f"{section}.{word}"
-    return section
+    """The key a module precondition names by the first word of its message."""
+    key = f"{section}.{message.split(' ', 1)[0]}"
+    return key if key in SCHEMA else section
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form with every key present (defaults filled in)."""
     lines = []
-    for key, (attr, _, fmt) in _SCHEMA.items():
+    for key, (attr, _, fmt) in SCHEMA.items():
         lines.append(f"{key} = {fmt(getattr(cfg, attr))}")
     return "\n".join(lines) + "\n"
 
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:
-    return {key: getattr(cfg, attr) for key, (attr, _, _) in _SCHEMA.items()}
+    return {key: getattr(cfg, attr) for key, (attr, _, _) in SCHEMA.items()}

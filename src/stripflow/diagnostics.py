@@ -23,7 +23,14 @@ from .fields import Parity, SpectralField, laplace_symbol, xi_values, y_wavenumb
 from .operators import poisson_inverse
 from .transforms import physical_max
 
-SEMINORM_WEIGHTS = ("1", "xi", "xi2", "kpi", "xi_kpi")
+#: seminorm multiplier of a hat-norm, as a function of (xi, k pi)
+SEMINORM_WEIGHTS = {
+    "1": lambda xi, kpi: 1.0,
+    "xi": lambda xi, kpi: np.abs(xi),
+    "xi2": lambda xi, kpi: xi**2,
+    "kpi": lambda xi, kpi: kpi,
+    "xi_kpi": lambda xi, kpi: np.abs(xi) * kpi,
+}
 
 
 @dataclass(frozen=True)
@@ -68,28 +75,28 @@ class NormId:
         return base if self.weight == "1" else f"{base}_{self.weight}"
 
 
-def seminorm_weight(weight, xi, kpi):
-    """Evaluate a seminorm multiplier on broadcastable (xi, k pi) arrays."""
-    if weight == "1":
-        return np.ones(np.broadcast(xi, kpi).shape)
-    if weight == "xi":
-        return np.abs(xi) * np.ones_like(kpi)
-    if weight == "xi2":
-        return xi**2 * np.ones_like(kpi)
-    if weight == "kpi":
-        return np.ones_like(xi) * kpi
-    if weight == "xi_kpi":
-        return np.abs(xi) * kpi
-    raise ValueError(f"unknown weight {weight!r}")
+def norm_weight(nid, xi, kpi):
+    """Multiplier w(xi, k pi) of a hat-norm on broadcastable arrays: the
+    seminorm weight, times (1 + xi^2 + (k pi)^2)^(m/2) for H^m."""
+    shape = np.broadcast(xi, kpi).shape
+    w = SEMINORM_WEIGHTS[nid.weight](xi, kpi) * np.ones(shape)
+    if nid.kind == "sobolev_hm":
+        w = w * (1.0 + xi**2 + kpi**2) ** (nid.m / 2.0)
+    return w
 
 
-def _weight_array(grid, parity, nid):
+def _lattice_weight(grid, parity, nid):
     xi = xi_values(grid)[:, None]
     kpi = math.pi * y_wavenumbers(grid, parity)[None, :]
-    base = seminorm_weight(nid.weight, xi, kpi)
-    if nid.kind == "sobolev_hm":
-        base = base * (1.0 + xi**2 + kpi**2) ** (nid.m / 2.0)
-    return base
+    return norm_weight(nid, xi, kpi)
+
+
+def _lattice_norm(w, coeff, nid, dxi):
+    """Lattice reduction of |w coeff|: l1 sum or l2 root-sum-square, times dxi."""
+    weighted = np.abs(w * coeff)
+    if nid.kind == "l1hat":
+        return float(weighted.sum() * dxi)
+    return math.sqrt((weighted**2).sum() * dxi)
 
 
 def norm(f: SpectralField, nid: NormId) -> float:
@@ -100,11 +107,8 @@ def norm(f: SpectralField, nid: NormId) -> float:
     """
     if nid.kind == "linf":
         return physical_max(f, refine=2)
-    w = _weight_array(f.grid, f.parity, nid)
-    weighted = np.abs(w * f.coeff)
-    if nid.kind == "l1hat":
-        return float(weighted.sum() * f.grid.dxi)
-    return float(math.sqrt((weighted**2).sum() * f.grid.dxi))
+    w = _lattice_weight(f.grid, f.parity, nid)
+    return _lattice_norm(w, f.coeff, nid, f.grid.dxi)
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -365,23 +369,10 @@ def theorem_suite(traj, window=None, min_span=10.0):
         raise WindowTooShort(min_span, t_max / t_min if t_min > 0 else math.inf)
 
     grid = traj[0].grid
-    weights = {}
-    for label, which, nid, _ in THEOREM_LADDER:
-        kind = "l1" if nid.kind == "l1hat" else "l2"
-        weights[label] = (_weight_array(grid, Parity.ODD, nid), kind)
-
     results = []
     for label, which, nid, expected in THEOREM_LADDER:
-        w, kind = weights[label]
-        vals = np.empty(len(traj))
-        for i, s in enumerate(traj):
-            c = s.theta.coeff if which == "theta" else s.omega.coeff
-            weighted = np.abs(w * c)
-            if kind == "l1":
-                vals[i] = weighted.sum() * grid.dxi
-            else:
-                vals[i] = math.sqrt((weighted**2).sum() * grid.dxi)
+        w = _lattice_weight(grid, Parity.ODD, nid)
+        vals = [_lattice_norm(w, getattr(s, which).coeff, nid, grid.dxi) for s in traj]
         curve = DecayCurve(times, vals, label)
-        fit = fit_rate(curve, window)
-        results.append((curve, fit, expected))
+        results.append((curve, fit_rate(curve, window), expected))
     return results

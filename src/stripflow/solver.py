@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .diagnostics import NormId, norm
 from .errors import CflViolation, NumericalBlowup
 from .fields import (
     FlowState,
@@ -257,8 +258,8 @@ def make_initial_data(profile: InitialProfile, grid: StripGrid):
     report = {
         "theta0_w81_surrogate": _wm1_surrogate(theta, 8),
         "omega0_w51_surrogate": _wm1_surrogate(omega, 5),
-        "theta0_l2": math.sqrt(float(np.sum(np.abs(theta.coeff) ** 2)) * grid.dxi),
-        "omega0_l2": math.sqrt(float(np.sum(np.abs(omega.coeff) ** 2)) * grid.dxi),
+        "theta0_l2": norm(theta, NormId.l2hat()),
+        "omega0_l2": norm(omega, NormId.l2hat()),
     }
     return state, report
 

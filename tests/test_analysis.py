@@ -18,7 +18,7 @@ from stripflow.analysis import (
     truncation_honesty_tmax,
     verify_symbol_bounds,
 )
-from stripflow.diagnostics import NormId, fit_rate
+from stripflow.diagnostics import NormId, fit_rate, norm_weight
 from stripflow.fields import InitialProfile, ProfileComponent, StripGrid
 from stripflow.propagators import classify_region, pair_values, sigma_lambda
 
@@ -178,11 +178,17 @@ class TestContinuumDecay:
             theta=(ProfileComponent(k=2, amplitude=1.0, xi_scale=0.5),),
             omega=(ProfileComponent(k=2, amplitude=0.3),),
         )
-        norms = [("theta", NormId.l2hat()), ("omega", NormId.l1hat(weight="xi"))]
+        norms = [("theta", NormId.l2hat()), ("omega", NormId.l1hat(weight="xi")),
+                 ("theta", NormId.sobolev(2, weight="xi_kpi"))]
         times = np.array([0.5, 3.0, 40.0])
         for nu in (0.01, 1.0):
             curves = continuum_linear_decay(profile, nu, norms, times)
             xi, w_xi = QuadratureSpec().nodes()
+            kpi = 2 * math.pi
+            w = [norm_weight(nid, xi, kpi) for _, nid in norms]
+            assert np.array_equal(w[1], np.abs(xi))
+            assert np.allclose(w[2], np.abs(xi) * kpi * (1.0 + xi**2 + kpi**2),
+                               rtol=1e-15, atol=0.0)
             theta0 = profile.theta[0].envelope(xi)
             omega0 = profile.omega[0].envelope(xi)
             p, sigma, lam_p, lam_m = sigma_lambda(xi, 2, nu)
@@ -190,10 +196,12 @@ class TestContinuumDecay:
                 l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
                 th = np.abs((l1 + 0.5 * nu * p * l2) * theta0 + (1j * xi / p) * l2 * omega0)
                 om = np.abs((l1 - 0.5 * nu * p * l2) * omega0 + 1j * xi * l2 * theta0)
-                want_th = math.sqrt(2.0 * float(np.sum(w_xi * th**2)))
-                want_om = 2.0 * float(np.sum(w_xi * np.abs(xi) * om))
+                want_th = math.sqrt(2.0 * float(np.sum(w_xi * (w[0] * th) ** 2)))
+                want_om = 2.0 * float(np.sum(w_xi * w[1] * om))
+                want_h2 = math.sqrt(2.0 * float(np.sum(w_xi * (w[2] * th) ** 2)))
                 assert curves[0].values[it] == pytest.approx(want_th, rel=1e-14)
                 assert curves[1].values[it] == pytest.approx(want_om, rel=1e-14)
+                assert curves[2].values[it] == pytest.approx(want_h2, rel=1e-14)
 
     def test_ladder_table_is_consistent(self):
         labels = {(field, nid.label) for field, nid, _ in CONTINUUM_LADDER}

@@ -43,6 +43,14 @@ class TestValidationFailures:
                         "--output-dir", str(tmp_path)])
         assert code == 2
 
+    def test_non_finite_value_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["linear-decay-continuum", "--set", "profile.amplitude=nan",
+                        "--output-dir", str(out)])
+        assert code == 2
+        assert "profile.amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run_cli(["defrobnicate"])

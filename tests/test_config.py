@@ -1,5 +1,6 @@
 """Configuration document: strict parsing, defaults, round trips."""
 
+import hashlib
 import math
 
 import pytest
@@ -71,6 +72,50 @@ class TestValidation:
             parse_config("experiment = nonlinear-decay\nstepper.scheme = euler\n")
         assert exc.value.key == "stepper.scheme"
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.half_width_lx", "0"),
+        ("grid.ny", "0"),
+        ("stepper.dt", "0"),
+        ("stepper.cfl_safety", "1.5"),
+        ("stepper.dealias_fraction", "0"),
+    ])
+    def test_grid_and_stepper_preconditions_name_their_key(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"experiment = nonlinear-decay\n{key} = {value}\n")
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("key", [
+        "grid.half_width_lx", "grid.nu", "stepper.dt", "stepper.cfl_safety",
+        "stepper.dealias_fraction", "profile.amplitude", "profile.xi_scale",
+        "times.t_min", "times.t_max",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match="finite") as exc:
+            parse_config(f"experiment = kernel-integral\n{key} = {value}\n")
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("nus", ["0.01,nan", "inf", "1.0,-inf"])
+    def test_non_finite_viscosity_entry(self, nus):
+        with pytest.raises(ConfigError, match="finite") as exc:
+            parse_config(f"experiment = symbol-bounds\nbounds.nus = {nus}\n")
+        assert exc.value.key == "bounds.nus"
+
+    def test_zero_amplitude(self):
+        with pytest.raises(ConfigError, match="nonzero") as exc:
+            parse_config("experiment = linear-decay-continuum\nprofile.amplitude = 0\n")
+        assert exc.value.key == "profile.amplitude"
+
+    def test_negative_amplitude_is_allowed(self):
+        cfg = parse_config("experiment = linear-decay-continuum\nprofile.amplitude = -1e-4\n")
+        assert cfg.profile_amplitude == -1e-4
+
+    @pytest.mark.parametrize("nus", [",", ""])
+    def test_empty_viscosity_list(self, nus):
+        with pytest.raises(ConfigError, match="at least one") as exc:
+            parse_config(f"experiment = symbol-bounds\nbounds.nus = {nus}\n")
+        assert exc.value.key == "bounds.nus"
+
     def test_bad_window(self):
         with pytest.raises(ConfigError, match="t_min"):
             parse_config("experiment = kernel-integral\ntimes.t_min = 100\ntimes.t_max = 10\n")
@@ -101,3 +146,32 @@ class TestRoundTrip:
         for key in ("grid.half_width_lx", "stepper.dealias_fraction",
                     "times.per_decade", "bounds.nus", "oracle.modes"):
             assert key in text
+
+    def test_default_document_is_pinned(self):
+        """The manifest config text and its hash must not move."""
+        text = serialize_config(parse_config("experiment = nu-star\n"))
+        assert text == (
+            "experiment = nu-star\n"
+            "output_dir = out\n"
+            "seed = 0\n"
+            "grid.half_width_lx = 628.3185307179587\n"
+            "grid.nx = 1024\n"
+            "grid.ny = 32\n"
+            "grid.nu = 1.0\n"
+            "stepper.dt = 0.5\n"
+            "stepper.cfl_safety = 0.8\n"
+            "stepper.dealias_fraction = 0.6666666666666666\n"
+            "stepper.scheme = strang-rk2\n"
+            "profile.k = 1\n"
+            "profile.amplitude = 0.0001\n"
+            "profile.xi_scale = 1.0\n"
+            "times.t_min = 10.0\n"
+            "times.t_max = 10000.0\n"
+            "times.per_decade = 12\n"
+            "bounds.samples = 1000\n"
+            "bounds.nus = 0.01,1.0\n"
+            "oracle.modes = 1000\n"
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3a472822e54c209dddfe3f556cb6e7890658774d9cda846ab64fd3d4ee3b2731"
+        )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripflow.diagnostics import (
+    THEOREM_LADDER,
     DecayCurve,
     NormId,
     energy_report,
@@ -254,6 +255,19 @@ class TestTheoremSuite:
         for _, fit, expected in results:
             assert math.isfinite(fit.exponent)
             assert -2.0 < expected < 0.0
+
+    def test_curves_equal_norm_of_each_snapshot(self, medium_grid, rng):
+        ts = np.logspace(0, 1.1, 12)
+        traj = [
+            FlowState(t, random_field(medium_grid, Parity.ODD, rng),
+                      random_field(medium_grid, Parity.ODD, rng))
+            for t in ts
+        ]
+        results = theorem_suite(traj, window=(1.0, 12.5))
+        for (curve, _, _), (label, which, nid, _) in zip(results, THEOREM_LADDER):
+            assert curve.label == label
+            want = [norm(getattr(s, which), nid) for s in traj]
+            assert np.array_equal(curve.values, want)
 
 
 class TestInnerProducts:
