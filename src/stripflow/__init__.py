@@ -51,15 +51,7 @@ from .operators import (
     poisson_inverse,
     velocity_from_vorticity,
 )
-from .propagators import (
-    ModeSymbol,
-    PropagatorPair,
-    heat_semigroup,
-    mode_symbol,
-    propagate_linear_pair,
-    propagate_phi,
-    propagator_pair,
-)
+from .propagators import propagate_linear_pair
 from .solver import (
     StepperConfig,
     TrajectoryResult,

@@ -198,9 +198,7 @@ def verify_symbol_bounds(nu, region, samples, rng, t_grid=None) -> SymbolBoundRe
         worst = {q: 0.0 for q in ("l1", "l2", "dt_l1", "dt_l2")}
         for t in t_grid:
             l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
-            d1, d2 = pair_derivatives(
-                nu * p, sigma, t, lam=(lam_p, lam_m), values=(l1, l2)
-            )
+            d1, d2 = pair_derivatives(nu * p, t, (lam_p, lam_m), (l1, l2))
             for q, v in (("l1", l1), ("l2", l2), ("dt_l1", d1), ("dt_l2", d2)):
                 env = _envelope(region, q, xi, p, nu, t)
                 # below ~1e-250 value and envelope are denormal dust and

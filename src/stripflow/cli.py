@@ -1,10 +1,11 @@
 """Command-line entry point: one subcommand per experiment.
 
 Configuration comes from an optional document (--config), overridden by
-repeatable --set key=value flags plus the --output-dir / --seed shortcuts;
-a flag always wins over the file and every override is recorded in the
-manifest.  Exit status: 0 success, 2 configuration/validation failure,
-3 numerical failure.
+repeatable --set key=value flags plus the --output-dir / --seed shortcuts,
+which count as given after every --set.  A flag always wins over the file,
+the last flag wins when a key is given more than once, and every override
+is recorded in the manifest.  Exit status: 0 success, 2 configuration/
+validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -45,23 +46,20 @@ def _effective_config(args):
     if args.config is not None:
         lines.append(Path(args.config).read_text().rstrip("\n"))
 
-    overrides = []
-    doc_lines = []
-    for assignment in args.assignments:
+    overrides = list(args.assignments)
+    if args.output_dir is not None:
+        overrides.append(f"output_dir={args.output_dir}")
+    if args.seed is not None:
+        overrides.append(f"seed={args.seed}")
+    doc_lines = {}
+    for assignment in overrides:
         if "=" not in assignment:
             raise ConfigError("expected KEY=VALUE", key=assignment)
         key, _, value = assignment.partition("=")
-        doc_lines.append(f"{key.strip()} = {value.strip()}")
-        overrides.append(assignment)
-    if args.output_dir is not None:
-        doc_lines.append(f"output_dir = {args.output_dir}")
-        overrides.append(f"output_dir={args.output_dir}")
-    if args.seed is not None:
-        doc_lines.append(f"seed = {args.seed}")
-        overrides.append(f"seed={args.seed}")
+        # a later flag for the same key replaces an earlier one
+        doc_lines[key.strip()] = f"{key.strip()} = {value.strip()}"
 
-    # later assignments win: strip overridden keys from the file document
-    override_keys = {line.split("=", 1)[0].strip() for line in doc_lines}
+    # flags win: strip overridden keys from the file document
     merged = []
     for chunk in lines:
         for raw in chunk.splitlines():
@@ -69,13 +67,13 @@ def _effective_config(args):
             if not stripped:
                 continue
             key = stripped.split("=", 1)[0].strip()
-            if key in override_keys or key == "experiment":
+            if key in doc_lines or key == "experiment":
                 continue
             merged.append(raw)
     merged.append(f"experiment = {args.experiment}")
-    merged.extend(doc_lines)
+    merged.extend(doc_lines.values())
 
-    for key in override_keys:
+    for key in doc_lines:
         if key and key not in SCHEMA:
             raise ConfigError("unknown key", key=key)
     return parse_config("\n".join(merged)), overrides

@@ -176,8 +176,10 @@ def validate_config(cfg: ExperimentConfig):
         cfg.stepper()
     except ValueError as exc:
         raise ConfigError(str(exc), key=_field_key(str(exc), "stepper"))
-    if cfg.profile_k < 1:
-        raise ConfigError("profile k must be >= 1", key="profile.k")
+    if not 1 <= cfg.profile_k <= cfg.grid_ny:
+        raise ConfigError(
+            f"profile k must be in [1, grid.ny = {cfg.grid_ny}]", key="profile.k"
+        )
     if cfg.profile_amplitude == 0:
         raise ConfigError("amplitude must be nonzero", key="profile.amplitude")
     if not cfg.profile_xi_scale > 0:

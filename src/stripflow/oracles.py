@@ -1,9 +1,10 @@
 """Independent reference integrators for the per-mode linear systems.
 
-These deliberately avoid the closed-form eigenvalue route: each mode is
-integrated as a stiff complex ODE with scipy's adaptive BDF (zvode) at
-tight tolerance.  Used by the oracle-suite experiment and the test suite
-to certify the propagator formulas.
+These deliberately avoid the closed-form eigenvalue route: each mode of
+the (omega, theta) pair, or of the unforced damped-wave equation theta
+obeys, is integrated as a stiff complex ODE with scipy's adaptive BDF
+(zvode) at tight tolerance.  Used by the oracle-suite experiment and the
+test suite to certify the propagator formulas.
 """
 
 from __future__ import annotations
@@ -32,33 +33,19 @@ def pair_reference(xi, k, nu, y0, times):
     return _integrate_linear(A, np.asarray(y0, dtype=complex), times)
 
 
-def damped_wave_reference(xi, k, nu, phi0, phi1, times, forcing=None):
-    """Adaptive integration of phi'' + nu p phi' + (xi^2/p) phi = F.
-
-    Args:
-        forcing: optional callable t -> complex F(t)
+def damped_wave_reference(xi, k, nu, phi0, phi1, times):
+    """Adaptive integration of phi'' + nu p phi' + (xi^2/p) phi = 0.
 
     Returns:
         array (len(times), 2) of (phi, dphi/dt), complex.
     """
     p = xi * xi + (math.pi * k) ** 2
     A = np.array([[0.0, 1.0], [-(xi * xi) / p, -nu * p]], dtype=complex)
-    y0 = np.array([phi0, phi1], dtype=complex)
-    if forcing is None:
-        return _integrate_linear(A, y0, times)
-
-    def rhs(t, y):
-        return A @ y + np.array([0.0, forcing(t)], dtype=complex)
-
-    return _integrate_rhs(rhs, lambda t, y: A, y0, times)
+    return _integrate_linear(A, np.array([phi0, phi1], dtype=complex), times)
 
 
 def _integrate_linear(A, y0, times):
-    return _integrate_rhs(lambda t, y: A @ y, lambda t, y: A, y0, times)
-
-
-def _integrate_rhs(rhs, jac, y0, times):
-    r = ode(rhs, jac)
+    r = ode(lambda t, y: A @ y, lambda t, y: A)
     r.set_integrator("zvode", method="bdf", rtol=_RTOL, atol=_ATOL, nsteps=10_000_000)
     r.set_initial_value(y0.copy(), 0.0)
     out = np.empty((len(times), len(y0)), dtype=complex)

@@ -6,9 +6,9 @@ temperature obey
     d/dt (w, th) = A (w, th),   A = [[-nu p, i xi], [i xi / p, 0]],
 
 whose eigenvalues lambda_pm = (-nu p +- sigma)/2, sigma^2 = nu^2 p^2 -
-4 xi^2 / p, also govern the scalar damped-wave equation
+4 xi^2 / p, also govern the damped-wave equation that th obeys,
 
-    phi'' + nu p phi' + (xi^2 / p) phi = F.
+    th'' + nu p th' + (xi^2 / p) th = 0.
 
 The two solution operators are
 
@@ -25,7 +25,6 @@ between the overdamped and oscillatory spectral regions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ from .fields import (
     Parity,
     SpectralField,
     StripGrid,
-    laplace_symbol,
     require_parity,
     xi_values,
 )
@@ -49,30 +47,6 @@ SINHC_TAYLOR_THRESHOLD = 1e-4
 #: the difference quotient (cancellation-free there: the two exponentials
 #: differ by a factor e^{-2 Re z} < 1e-260).
 SINHC_OVERFLOW_THRESHOLD = 300.0
-
-REGIONS = ("I1", "I2", "I3", "I4")
-
-
-@dataclass(frozen=True)
-class ModeSymbol:
-    """Spectral data of one mode of the damped-wave operator."""
-
-    xi: float
-    k: int
-    nu: float
-    p: float
-    sigma: complex
-    lambda_plus: complex
-    lambda_minus: complex
-    region: str
-
-
-@dataclass(frozen=True)
-class PropagatorPair:
-    """Values of the two solution operators at one mode and time."""
-
-    l1_hat: complex
-    l2_hat: complex
 
 
 def classify_region(xi, k, nu):
@@ -118,30 +92,6 @@ def sigma_lambda(xi, k, nu):
     return p, sigma, lam_p, lam_m
 
 
-def mode_symbol(xi: float, k: int, nu: float) -> ModeSymbol:
-    """Spectral data sigma, lambda_pm and region tag for one mode.
-
-    Raises:
-        ValueError: k < 1 (vorticity and temperature are sine parity).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not nu > 0:
-        raise ValueError("nu must be > 0")
-    p, sigma, lam_p, lam_m = sigma_lambda(float(xi), k, nu)
-    region = REGIONS[int(classify_region(float(xi), k, nu)) - 1]
-    return ModeSymbol(
-        xi=float(xi),
-        k=int(k),
-        nu=float(nu),
-        p=float(p),
-        sigma=complex(sigma),
-        lambda_plus=complex(lam_p),
-        lambda_minus=complex(lam_m),
-        region=region,
-    )
-
-
 def _sinhc(z):
     """sinh(z)/z with the removable singularity filled by Taylor series."""
     z = np.asarray(z, dtype=np.complex128)
@@ -157,14 +107,14 @@ def _sinhc(z):
     return np.where(small, series, direct)
 
 
-def pair_values(nu_p, sigma, t, lam=None):
+def pair_values(nu_p, sigma, t, lam):
     """l1(t), l2(t) as arrays, stable on every branch of sigma.
 
     Args:
         nu_p: damping nu * p (elementwise)
         sigma: discriminant root, real or purely imaginary
         t: time, >= 0
-        lam: optional (lambda_plus, lambda_minus) from sigma_lambda; the
+        lam: (lambda_plus, lambda_minus) from sigma_lambda; the
             cancellation-free lambda_plus sharpens the slow exponential in
             the deep-overdamped corner
 
@@ -175,11 +125,7 @@ def pair_values(nu_p, sigma, t, lam=None):
     """
     nu_p = np.asarray(nu_p, dtype=float)
     sigma = np.asarray(sigma, dtype=np.complex128)
-    if lam is None:
-        lam_p = 0.5 * (-nu_p + sigma)
-        lam_m = 0.5 * (-nu_p - sigma)
-    else:
-        lam_p, lam_m = lam
+    lam_p, lam_m = lam
     ep = np.exp(lam_p * t)
     em = np.exp(lam_m * t)
     l1 = 0.5 * (ep + em)
@@ -195,8 +141,11 @@ def pair_values(nu_p, sigma, t, lam=None):
     return l1, l2
 
 
-def pair_derivatives(nu_p, sigma, t, lam=None, values=None):
+def pair_derivatives(nu_p, t, lam, values):
     """Time derivatives (dl1/dt, dl2/dt) of the solution operators.
+
+    lam is (lambda_plus, lambda_minus) from sigma_lambda and values is
+    (l1, l2) from pair_values at the same modes and time.
 
     dl1/dt is evaluated directly as (lambda+ e^{lambda+ t} +
     lambda- e^{lambda- t})/2: with the stable lambda+ the two overdamped
@@ -204,98 +153,11 @@ def pair_derivatives(nu_p, sigma, t, lam=None, values=None):
     where the equivalent identity -(nu p/2) l1 + (sigma^2/4) l2 would
     cancel catastrophically.  dl2/dt uses the identity l1 - (nu p/2) l2.
     """
-    nu_p = np.asarray(nu_p, dtype=float)
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    if lam is None:
-        lam_p = 0.5 * (-nu_p + sigma)
-        lam_m = 0.5 * (-nu_p - sigma)
-    else:
-        lam_p, lam_m = lam
-    if values is None:
-        values = pair_values(nu_p, sigma, t, lam=lam)
+    lam_p, lam_m = lam
     l1, l2 = values
     dt_l1 = 0.5 * (lam_p * np.exp(lam_p * t) + lam_m * np.exp(lam_m * t))
     dt_l2 = l1 - 0.5 * nu_p * l2
     return dt_l1, dt_l2
-
-
-def propagator_pair(sym: ModeSymbol, t: float) -> PropagatorPair:
-    """Evaluate (l1, l2) at one mode; exact (1, 0) at t = 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    l1, l2 = pair_values(
-        np.array(sym.nu * sym.p), np.array(sym.sigma), float(t),
-        lam=(np.array(sym.lambda_plus), np.array(sym.lambda_minus)),
-    )
-    return PropagatorPair(complex(l1), complex(l2))
-
-
-def heat_semigroup(f: SpectralField, nu: float, t: float) -> SpectralField:
-    """Multiply by e^{-nu (xi^2 + pi^2 k^2) t}; parity preserved."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    p = laplace_symbol(f.grid, f.parity)
-    return SpectralField(f.grid, f.parity, f.coeff * np.exp(-nu * p * t))
-
-
-def propagate_phi(
-    phi0: SpectralField,
-    phi1: SpectralField,
-    t: float,
-    forcing_times=None,
-    forcing=None,
-) -> SpectralField:
-    """Solve the damped-wave equation with data (phi0, phi1) and forcing F.
-
-    phi(t) = L1(t) phi0 + L2(t) ((nu/2)(-Laplace) phi0 + phi1)
-             + integral_0^t L2(t - tau) F(tau) dtau,
-
-    the integral approximated by composite trapezoid over uniformly spaced
-    samples covering [0, t].  Without forcing the result is exact per mode.
-
-    Raises:
-        GridMismatchError: fields on different grids.
-        ValueError: non-uniform or incomplete forcing sample times.
-    """
-    require_parity(phi0, Parity.ODD, "propagate_phi")
-    require_parity(phi1, Parity.ODD, "propagate_phi")
-    if phi0.grid != phi1.grid:
-        raise GridMismatchError("phi0 and phi1 on different grids")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-
-    grid = phi0.grid
-    nu = grid.nu
-    p, sigma, lam_p, lam_m = _grid_symbols(grid)
-    l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
-    out = l1 * phi0.coeff + l2 * (0.5 * nu * p * phi0.coeff + phi1.coeff)
-
-    if forcing is not None:
-        if forcing_times is None:
-            raise ValueError("forcing sample times are required with forcing")
-        times = np.asarray(forcing_times, dtype=float)
-        if len(times) != len(forcing) or len(times) < 2:
-            raise ValueError("need matching times and at least two forcing samples")
-        if abs(times[0]) > 1e-12 or abs(times[-1] - t) > 1e-12 * max(1.0, t):
-            raise ValueError("forcing samples must cover [0, t]")
-        h = np.diff(times)
-        if np.abs(h - h[0]).max() > 1e-9 * h[0]:
-            raise ValueError("forcing samples must be uniformly spaced")
-        acc = np.zeros_like(out)
-        for w, tau, fld in zip(_trapezoid_weights(len(times), h[0]), times, forcing):
-            if fld.grid != grid:
-                raise GridMismatchError("forcing sample on a different grid")
-            require_parity(fld, Parity.ODD, "propagate_phi forcing")
-            _, l2_tau = pair_values(nu * p, sigma, t - tau, lam=(lam_p, lam_m))
-            acc += w * l2_tau * fld.coeff
-        out = out + acc
-    return SpectralField(grid, Parity.ODD, out)
-
-
-def _trapezoid_weights(n, h):
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
 
 
 @lru_cache(maxsize=8)

@@ -8,11 +8,11 @@ The state (omega, theta) evolves by
 
 with slip walls enforced by sine parity.  Time stepping is Strang
 splitting: a half step of the exact linear pair propagator, an explicit
-substep of the pure transport terms (midpoint rule or classical RK4), and
-a second linear half step.  The linear part is exact per mode, so the
-scheme has no stiffness restriction; only the advective CFL bound limits
-dt.  Transport products are formed pointwise on the shared collocation
-grid and dealiased by the 2/3 rule in both directions.
+midpoint-rule substep of the pure transport terms, and a second linear
+half step.  The linear part is exact per mode, so the scheme has no
+stiffness restriction; only the advective CFL bound limits dt.  Transport
+products are formed pointwise on the shared collocation grid and
+dealiased by the 2/3 rule in both directions.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .operators import derivative_x, derivative_y, velocity_from_vorticity
 from .propagators import pair_step_matrix
 from .transforms import quadrature_l1, to_physical, to_spectral
 
-SCHEMES = ("strang-rk2", "strang-rk4")
-
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -59,8 +57,9 @@ class StepperConfig:
             raise ValueError("cfl_safety must be in (0, 1]")
         if not 0 < self.dealias_fraction <= 1:
             raise ValueError("dealias_fraction must be in (0, 1]")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+        # one scheme; the field stays so documents that name it still parse
+        if self.scheme != "strang-rk2":
+            raise ValueError("scheme must be 'strang-rk2'")
 
 
 @dataclass
@@ -170,18 +169,10 @@ def step(state: FlowState, cfg: StepperConfig) -> FlowState:
 
     f = cfg.dealias_fraction
     dt = cfg.dt
-    if cfg.scheme == "strang-rk2":
-        kw1, kt1 = _transport_rhs(grid, w, th, f)
-        kw2, kt2 = _transport_rhs(grid, w + 0.5 * dt * kw1, th + 0.5 * dt * kt1, f)
-        w = w + dt * kw2
-        th = th + dt * kt2
-    else:
-        kw1, kt1 = _transport_rhs(grid, w, th, f)
-        kw2, kt2 = _transport_rhs(grid, w + 0.5 * dt * kw1, th + 0.5 * dt * kt1, f)
-        kw3, kt3 = _transport_rhs(grid, w + 0.5 * dt * kw2, th + 0.5 * dt * kt2, f)
-        kw4, kt4 = _transport_rhs(grid, w + dt * kw3, th + dt * kt3, f)
-        w = w + dt / 6.0 * (kw1 + 2 * kw2 + 2 * kw3 + kw4)
-        th = th + dt / 6.0 * (kt1 + 2 * kt2 + 2 * kt3 + kt4)
+    kw1, kt1 = _transport_rhs(grid, w, th, f)
+    kw2, kt2 = _transport_rhs(grid, w + 0.5 * dt * kw1, th + 0.5 * dt * kt1, f)
+    w = w + dt * kw2
+    th = th + dt * kt2
 
     w_new = m11 * w + m12 * th
     th_new = m21 * w + m22 * th

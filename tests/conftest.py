@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stripflow.fields import Parity, StripGrid, xi_index
+from stripflow.propagators import pair_values, sigma_lambda
 
 
 @pytest.fixture
@@ -93,3 +94,31 @@ def direct_projection(grid, values, parity):
     if parity is Parity.ODD:
         coeff[:, -1] = 0.0
     return coeff
+
+
+def damped_wave(xi, k, nu, phi0, phi1, t):
+    """Solution of phi'' + nu p phi' + (xi^2 / p) phi = 0 with data (phi0, phi1).
+
+    phi(t) = l1(t) phi0 + l2(t) ((nu p / 2) phi0 + phi1), l1 and l2 from
+    sigma_lambda and pair_values; elementwise over broadcast xi, k, t.
+    """
+    p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
+    l1, l2 = pair_values(nu * p, sigma, t, (lam_p, lam_m))
+    return l1 * phi0 + l2 * (0.5 * nu * p * phi0 + phi1)
+
+
+def duhamel_pair(xi, k, nu, omega0, theta0, t_end, n=8001):
+    """(omega, theta) of one linear-pair mode at t_end, without exp(tA).
+
+    theta obeys the damped-wave equation with d/dt theta(0) = -u2(0) =
+    (i xi / p) omega0; omega then follows from omega' = -nu p omega +
+    i xi theta by the Duhamel integral, a trapezoid rule over n samples of
+    theta on [0, t_end].
+    """
+    p = xi * xi + (math.pi * k) ** 2
+    taus = np.linspace(0.0, t_end, n)
+    theta = damped_wave(xi, k, nu, theta0, 1j * xi / p * omega0, taus)
+    omega = np.trapezoid(
+        np.exp(-nu * p * (t_end - taus)) * 1j * xi * theta, taus
+    ) + math.exp(-nu * p * t_end) * omega0
+    return omega, theta[-1]

@@ -51,6 +51,15 @@ class TestValidationFailures:
         assert "profile.amplitude" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_profile_row_beyond_the_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["linear-decay-truncated", "--set", "profile.k=40",
+                        "--set", "grid.nx=64", "--set", "grid.ny=8",
+                        "--output-dir", str(out)])
+        assert code == 2
+        assert "profile.k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run_cli(["defrobnicate"])
@@ -74,6 +83,15 @@ class TestOverrides:
         assert manifest["config"]["seed"] == 7
         assert manifest["config"]["times.per_decade"] == 9
         assert any("seed=7" in o for o in manifest["overrides"])
+
+    def test_last_repeated_flag_wins(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(["nu-star", "--set", "seed=1", "--set", "seed=2",
+                        "--output-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 2
+        assert manifest["overrides"][:2] == ["seed=1", "seed=2"]
 
 
 class TestDeterminism:

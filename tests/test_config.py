@@ -68,9 +68,10 @@ class TestValidation:
             parse_config("experiment = frobnicate\n")
 
     def test_bad_scheme(self):
-        with pytest.raises(ConfigError, match="scheme") as exc:
-            parse_config("experiment = nonlinear-decay\nstepper.scheme = euler\n")
-        assert exc.value.key == "stepper.scheme"
+        for scheme in ("euler", "strang-rk4"):
+            with pytest.raises(ConfigError, match="scheme") as exc:
+                parse_config(f"experiment = nonlinear-decay\nstepper.scheme = {scheme}\n")
+            assert exc.value.key == "stepper.scheme"
 
     @pytest.mark.parametrize("key, value", [
         ("grid.half_width_lx", "0"),
@@ -115,6 +116,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="at least one") as exc:
             parse_config(f"experiment = symbol-bounds\nbounds.nus = {nus}\n")
         assert exc.value.key == "bounds.nus"
+
+    @pytest.mark.parametrize("k", ["0", "9"])
+    def test_profile_row_outside_the_grid(self, k):
+        with pytest.raises(ConfigError, match="grid.ny = 8") as exc:
+            parse_config(f"experiment = linear-decay-truncated\ngrid.ny = 8\nprofile.k = {k}\n")
+        assert exc.value.key == "profile.k"
+
+    def test_profile_row_at_the_last_grid_row(self):
+        cfg = parse_config("experiment = linear-decay-truncated\ngrid.ny = 8\nprofile.k = 8\n")
+        assert cfg.profile_k == 8
 
     def test_bad_window(self):
         with pytest.raises(ConfigError, match="t_min"):

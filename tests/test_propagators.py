@@ -6,22 +6,21 @@ import mpmath
 import numpy as np
 import pytest
 
+from stripflow.errors import GridMismatchError
 from stripflow.fields import Parity, SpectralField, random_field, xi_values
 from stripflow.oracles import damped_wave_reference, pair_reference, relative_gap
 from stripflow.propagators import (
     classify_region,
-    heat_semigroup,
-    mode_symbol,
     pair_derivatives,
     pair_exponential,
     pair_matrix,
     pair_step_matrix,
     pair_values,
     propagate_linear_pair,
-    propagate_phi,
-    propagator_pair,
     sigma_lambda,
 )
+
+from conftest import damped_wave, duhamel_pair
 
 NU_STAR = math.sqrt(16.0 / (27.0 * math.pi**4))
 
@@ -40,17 +39,25 @@ def region_by_text(xi, k, nu):
     return "I4"
 
 
-class TestModeSymbol:
-    def test_xi_zero_k_one(self):
-        sym = mode_symbol(0.0, 1, 1.0)
-        assert sym.sigma == pytest.approx(math.pi**2)
-        assert sym.lambda_plus == pytest.approx(0.0)
-        assert sym.lambda_minus == pytest.approx(-math.pi**2)
-        assert sym.region == "I1"
+def region_tag(xi, k, nu):
+    return f"I{int(classify_region(xi, k, nu))}"
 
-    def test_rejects_k_zero(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            mode_symbol(1.0, 0, 1.0)
+
+def mode_values(xi, k, nu, t):
+    """(l1, l2) of one mode (xi, k) at time(s) t."""
+    p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
+    return pair_values(nu * p, sigma, t, (lam_p, lam_m))
+
+
+class TestModeSymbol:
+    """sigma, lambda_pm and region tags of single modes."""
+
+    def test_xi_zero_k_one(self):
+        _, sigma, lam_p, lam_m = sigma_lambda(0.0, 1, 1.0)
+        assert complex(sigma) == pytest.approx(math.pi**2)
+        assert complex(lam_p) == pytest.approx(0.0)
+        assert complex(lam_m) == pytest.approx(-math.pi**2)
+        assert region_tag(0.0, 1, 1.0) == "I1"
 
     def test_sigma_real_above_critical_viscosity(self, rng):
         """Grid scan: nu >= nu* implies a real discriminant everywhere."""
@@ -65,12 +72,10 @@ class TestModeSymbol:
             xi = float(rng.uniform(-60, 60))
             k = int(rng.integers(1, 33))
             nu = float(rng.choice([0.01, 0.05, NU_STAR, 1.0]))
-            sym = mode_symbol(xi, k, nu)
-            assert sym.region == region_by_text(xi, k, nu)
+            assert region_tag(xi, k, nu) == region_by_text(xi, k, nu)
 
     def test_specific_low_viscosity_mode(self):
-        sym = mode_symbol(2.0, 1, 0.01)
-        assert sym.region == region_by_text(2.0, 1, 0.01)
+        assert region_tag(2.0, 1, 0.01) == region_by_text(2.0, 1, 0.01)
 
     def test_vieta_identities(self, rng):
         """lambda+ + lambda- = -nu p and lambda+ lambda- = xi^2/p."""
@@ -109,11 +114,12 @@ class TestModeSymbol:
 
 
 class TestPropagatorPair:
+    """The solution operators l1, l2 from pair_values."""
+
     def test_identity_at_t_zero(self):
-        sym = mode_symbol(3.0, 2, 0.02)
-        pair = propagator_pair(sym, 0.0)
-        assert pair.l1_hat == 1.0
-        assert pair.l2_hat == 0.0
+        l1, l2 = mode_values(3.0, 2, 0.02, 0.0)
+        assert l1 == 1.0
+        assert l2 == 0.0
 
     def test_sigma_zero_limit(self):
         """At sigma = 0 exactly, l2 = t e^{-nu p t / 2}."""
@@ -122,7 +128,8 @@ class TestPropagatorPair:
         xi = 1.0
         p = xi**2 + math.pi**2
         nu = 2.0 * xi / p**1.5
-        l1, l2 = pair_values(np.array([nu * p]), np.array([0.0j]), 2.5)
+        lam = np.array([-0.5 * nu * p])
+        l1, l2 = pair_values(np.array([nu * p]), np.array([0.0j]), 2.5, (lam, lam))
         assert l2[0] == pytest.approx(2.5 * math.exp(-0.5 * nu * p * 2.5), rel=1e-14)
         assert l1[0] == pytest.approx(math.exp(-0.5 * nu * p * 2.5), rel=1e-14)
 
@@ -130,54 +137,50 @@ class TestPropagatorPair:
         """Taylor branch at sigma t ~ 1e-6 vs 50-digit direct difference."""
         mpmath.mp.dps = 50
         k, nu = 1, 0.05
-        p = 1.0 + math.pi**2
         xi = 1.0
-        sym = mode_symbol(xi, k, nu)
+        _, sigma, lam_p, lam_m = (complex(a) for a in sigma_lambda(xi, k, nu))
         # choose t so |sigma t / 2| ~ 1e-6, inside the Taylor branch
-        t = 2.0e-6 / abs(sym.sigma)
-        pair = propagator_pair(sym, t)
-        lp = mpmath.mpc(sym.lambda_plus)
-        lm = mpmath.mpc(sym.lambda_minus)
-        sig = mpmath.mpc(sym.sigma)
+        t = 2.0e-6 / abs(sigma)
+        _, l2 = mode_values(xi, k, nu, t)
+        lp = mpmath.mpc(lam_p)
+        lm = mpmath.mpc(lam_m)
+        sig = mpmath.mpc(sigma)
         l2_exact = (mpmath.exp(lp * t) - mpmath.exp(lm * t)) / sig
-        assert abs(pair.l2_hat - complex(l2_exact)) <= 1e-10 * abs(complex(l2_exact))
+        assert abs(complex(l2) - complex(l2_exact)) <= 1e-10 * abs(complex(l2_exact))
 
     def test_monotone_l1_for_real_sigma(self):
         """|l1| decreases in t wherever the discriminant is real."""
         ts = np.linspace(0.0, 20.0, 400)
         for xi, k, nu in [(0.5, 1, 1.0), (3.0, 2, 1.0), (0.05, 1, 0.02)]:
-            sym = mode_symbol(xi, k, nu)
-            if abs(sym.sigma.imag) > 0:
+            _, sigma, _, _ = sigma_lambda(xi, k, nu)
+            if abs(sigma.imag) > 0:
                 continue
-            vals = [abs(propagator_pair(sym, t).l1_hat) for t in ts]
+            vals = np.abs(mode_values(xi, k, nu, ts)[0])
             assert np.all(np.diff(vals) <= 1e-14)
 
     def test_l1_bounded_by_one_for_real_sigma(self, rng):
         for _ in range(200):
             xi = float(rng.uniform(-10, 10))
             k = int(rng.integers(1, 9))
-            sym = mode_symbol(xi, k, 1.0)
             t = float(rng.uniform(0, 50))
-            assert abs(propagator_pair(sym, t).l1_hat) <= 1.0 + 1e-14
+            assert abs(complex(mode_values(xi, k, 1.0, t)[0])) <= 1.0 + 1e-14
 
     def test_no_overflow_for_stiff_modes(self):
         """Large nu p t used to overflow a naive cosh/sinhc evaluation."""
-        sym = mode_symbol(0.1, 32, 1.0)
-        pair = propagator_pair(sym, 1000.0)
-        assert np.isfinite(pair.l1_hat.real)
-        assert np.isfinite(pair.l2_hat.real)
+        l1, l2 = mode_values(0.1, 32, 1.0, 1000.0)
+        assert np.isfinite(l1.real)
+        assert np.isfinite(l2.real)
 
     def test_derivative_identities_against_finite_differences(self):
         h = 1e-6
         for xi, k, nu in [(2.0, 1, 0.01), (0.3, 1, 1.0), (7.0, 3, 0.05)]:
             p, sigma, lam_p, lam_m = sigma_lambda(np.array([xi]), k, nu)
+            lam = (lam_p, lam_m)
             t = 1.7
-            l1, l2 = pair_values(nu * p, sigma, t)
-            d1, d2 = pair_derivatives(
-                nu * p, sigma, t, lam=(lam_p, lam_m), values=(l1, l2)
-            )
-            l1p, l2p = pair_values(nu * p, sigma, t + h)
-            l1m, l2m = pair_values(nu * p, sigma, t - h)
+            l1, l2 = pair_values(nu * p, sigma, t, lam)
+            d1, d2 = pair_derivatives(nu * p, t, lam, (l1, l2))
+            l1p, l2p = pair_values(nu * p, sigma, t + h, lam)
+            l1m, l2m = pair_values(nu * p, sigma, t - h, lam)
             assert abs(d1[0] - (l1p[0] - l1m[0]) / (2 * h)) < 1e-7
             assert abs(d2[0] - (l2p[0] - l2m[0]) / (2 * h)) < 1e-7
 
@@ -192,9 +195,9 @@ class TestOdeOracle:
             nu = float(rng.choice([0.01, NU_STAR, 1.0]))
             y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             ref = pair_reference(xi, k, nu, y0, times)
-            p, sigma, _, _ = sigma_lambda(np.array([xi]), k, nu)
+            p, sigma, lam_p, lam_m = sigma_lambda(np.array([xi]), k, nu)
             for i, t in enumerate(times):
-                l1, l2 = pair_values(nu * p, sigma, t)
+                l1, l2 = pair_values(nu * p, sigma, t, (lam_p, lam_m))
                 m = np.array([
                     [l1[0] - 0.5 * nu * p[0] * l2[0], 1j * xi * l2[0]],
                     [1j * xi / p[0] * l2[0], l1[0] + 0.5 * nu * p[0] * l2[0]],
@@ -210,9 +213,9 @@ class TestOdeOracle:
             phi0 = complex(rng.standard_normal(), rng.standard_normal())
             phi1 = complex(rng.standard_normal(), rng.standard_normal())
             ref = damped_wave_reference(xi, k, nu, phi0, phi1, times)
-            p, sigma, _, _ = sigma_lambda(np.array([xi]), k, nu)
+            p, sigma, lam_p, lam_m = sigma_lambda(np.array([xi]), k, nu)
             for i, t in enumerate(times):
-                l1, l2 = pair_values(nu * p, sigma, t)
+                l1, l2 = pair_values(nu * p, sigma, t, (lam_p, lam_m))
                 phi = l1[0] * phi0 + l2[0] * (0.5 * nu * p[0] * phi0 + phi1)
                 scale = math.hypot(abs(phi0), abs(phi1))
                 assert relative_gap([phi], [ref[i, 0]], scale) < 1e-8
@@ -231,86 +234,32 @@ class TestSigmaDegeneracy:
         assert np.abs(np.diff(l1)).max() <= 1e-9
 
 
-class TestHeatSemigroup:
-    def test_identity_at_t_zero(self, small_grid, rng):
-        f = random_field(small_grid, Parity.ODD, rng)
-        out = heat_semigroup(f, small_grid.nu, 0.0)
-        assert np.abs(out.coeff - f.coeff).max() == 0.0
-
-    def test_single_mode_factor(self, small_grid):
-        f = SpectralField.zeros(small_grid, Parity.ODD)
-        f.coeff[0, 0] = 1.0
-        out = heat_semigroup(f, 1.0, 1.0)
-        assert out.coeff[0, 0] == pytest.approx(math.exp(-math.pi**2))
-
-    def test_semigroup_property(self, medium_grid, rng):
-        f = random_field(medium_grid, Parity.ODD, rng)
-        a = heat_semigroup(heat_semigroup(f, 1.0, 0.3), 1.0, 0.45)
-        b = heat_semigroup(f, 1.0, 0.75)
-        assert np.abs(a.coeff - b.coeff).max() < 1e-13 * np.abs(f.coeff).max()
-
-
 class TestPropagatePhi:
+    """The damped-wave route that duhamel_pair builds on."""
+
     def test_xi_zero_column_is_frozen(self, small_grid, rng):
-        """No horizontal forcing at xi = 0: phi is constant in time."""
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        phi0.coeff[0, :] = rng.standard_normal(small_grid.ny)
-        phi1 = SpectralField.zeros(small_grid, Parity.ODD)
-        out = propagate_phi(phi0, phi1, 12.0)
-        assert np.abs(out.coeff[0] - phi0.coeff[0]).max() < 1e-13
+        """No horizontal coupling at xi = 0: phi is constant in time."""
+        k = np.arange(1, small_grid.ny + 1)
+        phi0 = rng.standard_normal(small_grid.ny)
+        out = damped_wave(0.0, k, small_grid.nu, phi0, 0.0, 12.0)
+        assert np.abs(out - phi0).max() < 1e-13
 
     def test_t_zero_returns_initial_data(self, medium_grid, rng):
-        phi0 = random_field(medium_grid, Parity.ODD, rng)
-        phi1 = random_field(medium_grid, Parity.ODD, rng)
-        out = propagate_phi(phi0, phi1, 0.0)
-        assert np.abs(out.coeff - phi0.coeff).max() < 1e-14 * np.abs(phi0.coeff).max()
+        phi0 = random_field(medium_grid, Parity.ODD, rng).coeff
+        phi1 = random_field(medium_grid, Parity.ODD, rng).coeff
+        xi = xi_values(medium_grid)[:, None]
+        k = np.arange(1, medium_grid.ny + 1)[None, :]
+        out = damped_wave(xi, k, medium_grid.nu, phi0, phi1, 0.0)
+        assert np.abs(out - phi0).max() < 1e-14 * np.abs(phi0).max()
 
     def test_against_ode_oracle_single_mode(self, small_grid):
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        phi1 = SpectralField.zeros(small_grid, Parity.ODD)
-        row, col = 2, 1  # j=2, k=2
-        phi0.coeff[row, col] = 0.8 - 0.3j
-        phi1.coeff[row, col] = -0.1 + 0.6j
+        row, k = 2, 2
+        phi0, phi1 = 0.8 - 0.3j, -0.1 + 0.6j
         xi = float(xi_values(small_grid)[row])
         t = 5.0
-        out = propagate_phi(phi0, phi1, t)
-        ref = damped_wave_reference(
-            xi, col + 1, small_grid.nu, phi0.coeff[row, col], phi1.coeff[row, col],
-            np.array([t]),
-        )
-        assert relative_gap([out.coeff[row, col]], [ref[0, 0]], 1.0) < 1e-8
-
-    def test_forced_duhamel_against_ode_oracle(self, small_grid):
-        """Trapezoid Duhamel vs adaptive integration of the forced equation."""
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        phi1 = SpectralField.zeros(small_grid, Parity.ODD)
-        row, col = 1, 0
-        phi0.coeff[row, col] = 0.5
-        xi = float(xi_values(small_grid)[row])
-        t_end = 2.0
-        n = 4001
-        times = np.linspace(0.0, t_end, n)
-
-        def forcing_value(tau):
-            return math.sin(1.3 * tau) * math.exp(-0.2 * tau)
-
-        forcing = []
-        for tau in times:
-            f = SpectralField.zeros(small_grid, Parity.ODD)
-            f.coeff[row, col] = forcing_value(tau)
-            forcing.append(f)
-        out = propagate_phi(phi0, phi1, t_end, forcing_times=times, forcing=forcing)
-        ref = damped_wave_reference(
-            xi, col + 1, small_grid.nu, 0.5, 0.0, np.array([t_end]),
-            forcing=forcing_value,
-        )
-        assert abs(out.coeff[row, col] - ref[0, 0]) < 2e-7
-
-    def test_rejects_nonuniform_forcing(self, small_grid):
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        f = [SpectralField.zeros(small_grid, Parity.ODD) for _ in range(3)]
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            propagate_phi(phi0, phi0, 1.0, forcing_times=[0.0, 0.3, 1.0], forcing=f)
+        out = damped_wave(xi, k, small_grid.nu, phi0, phi1, t)
+        ref = damped_wave_reference(xi, k, small_grid.nu, phi0, phi1, np.array([t]))
+        assert relative_gap([out], [ref[0, 0]], 1.0) < 1e-8
 
 
 class TestPropagateLinearPair:
@@ -327,37 +276,28 @@ class TestPropagateLinearPair:
         assert np.abs(out.theta.coeff[0] - theta0.coeff[0]).max() == 0.0
 
     def test_cross_route_through_phi_and_duhamel(self, small_grid):
-        """theta via the damped-wave solver, omega via trapezoid Duhamel.
-
-        The initial temperature rate is d/dt theta(0) = -u2(0), i.e.
-        +i xi / p omega0 per mode.
-        """
+        """theta via the damped-wave solution, omega via trapezoid Duhamel."""
         grid = small_grid
-        nu = grid.nu
         omega0 = SpectralField.zeros(grid, Parity.ODD)
         theta0 = SpectralField.zeros(grid, Parity.ODD)
         row, col = 2, 0
         omega0.coeff[row, col] = 0.7 + 0.2j
         theta0.coeff[row, col] = -0.4 + 0.9j
         xi = float(xi_values(grid)[row])
-        p = xi**2 + math.pi**2
         t_end = 4.0
 
         pair = propagate_linear_pair(omega0, theta0, t_end)
-
-        # route 2: theta from the scalar solver with phi1 = i xi/p omega0
-        phi1 = SpectralField.zeros(grid, Parity.ODD)
-        phi1.coeff[row, col] = 1j * xi / p * omega0.coeff[row, col]
-        taus = np.linspace(0.0, t_end, 8001)
-        theta_samples = [
-            propagate_phi(theta0, phi1, tau).coeff[row, col] for tau in taus
-        ]
-        # omega(t) = e^{-nu p t} omega0 + int e^{-nu p (t-tau)} i xi theta dtau
-        w = np.trapezoid(
-            np.exp(-nu * p * (t_end - taus)) * 1j * xi * np.array(theta_samples), taus
-        ) + math.exp(-nu * p * t_end) * omega0.coeff[row, col]
-        assert abs(pair.theta.coeff[row, col] - theta_samples[-1]) < 1e-6
+        w, th = duhamel_pair(
+            xi, col + 1, grid.nu, omega0.coeff[row, col], theta0.coeff[row, col], t_end
+        )
+        assert abs(pair.theta.coeff[row, col] - th) < 1e-6
         assert abs(pair.omega.coeff[row, col] - w) < 1e-6
+
+    def test_rejects_mismatched_initial_grids(self, small_grid, medium_grid):
+        omega0 = SpectralField.zeros(small_grid, Parity.ODD)
+        theta0 = SpectralField.zeros(medium_grid, Parity.ODD)
+        with pytest.raises(GridMismatchError):
+            propagate_linear_pair(omega0, theta0, 1.0)
 
     def test_against_pair_ode_oracle(self, small_grid, rng):
         omega0 = random_field(small_grid, Parity.ODD, rng)
@@ -461,63 +401,3 @@ class TestPairExponential:
             scale = max(abs(w) for w in want)
             for g, w in zip(got, want):
                 assert abs(complex(g[0]) - w) <= 1e-12 * scale
-
-
-class TestHeatSemigroupEvenParity:
-    def test_mean_row_decays_at_fourier_rate(self, small_grid):
-        """Even k=0 row has p = xi^2: plain horizontal heat decay."""
-        f = SpectralField.zeros(small_grid, Parity.EVEN)
-        f.coeff[2, 0] = 1.0
-        xi0 = float(xi_values(small_grid)[2])
-        out = heat_semigroup(f, 2.0, 0.75)
-        assert out.coeff[2, 0] == pytest.approx(math.exp(-2.0 * xi0**2 * 0.75))
-
-
-class TestPropagatePhiValidation:
-    def test_rejects_forcing_on_other_grid(self, small_grid, medium_grid):
-        from stripflow.errors import GridMismatchError
-
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        forcing = [SpectralField.zeros(medium_grid, Parity.ODD) for _ in range(3)]
-        with pytest.raises(GridMismatchError):
-            propagate_phi(phi0, phi0, 1.0, forcing_times=[0.0, 0.5, 1.0],
-                          forcing=forcing)
-
-    def test_rejects_mismatched_initial_grids(self, small_grid, medium_grid):
-        from stripflow.errors import GridMismatchError
-
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        phi1 = SpectralField.zeros(medium_grid, Parity.ODD)
-        with pytest.raises(GridMismatchError):
-            propagate_phi(phi0, phi1, 1.0)
-
-
-class TestDuhamelConvergence:
-    def test_trapezoid_forcing_integral_is_second_order(self, small_grid):
-        """Halving the forcing sample spacing shrinks the error ~4x."""
-        phi0 = SpectralField.zeros(small_grid, Parity.ODD)
-        row, col = 1, 0
-        xi = float(xi_values(small_grid)[row])
-        t_end = 2.0
-
-        def forcing_value(tau):
-            return math.sin(1.3 * tau) * math.exp(-0.2 * tau)
-
-        ref = damped_wave_reference(
-            xi, col + 1, small_grid.nu, 0.0, 0.0, np.array([t_end]),
-            forcing=forcing_value,
-        )[0, 0]
-
-        def solve(n):
-            times = np.linspace(0.0, t_end, n)
-            forcing = []
-            for tau in times:
-                f = SpectralField.zeros(small_grid, Parity.ODD)
-                f.coeff[row, col] = forcing_value(tau)
-                forcing.append(f)
-            out = propagate_phi(phi0, phi0, t_end, forcing_times=times,
-                                forcing=forcing)
-            return abs(out.coeff[row, col] - ref)
-
-        e1, e2 = solve(101), solve(201)
-        assert e1 / e2 == pytest.approx(4.0, abs=0.6)

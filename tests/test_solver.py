@@ -376,41 +376,3 @@ class TestCrossModuleConsistency:
             s = propagate_linear_pair(state0.omega, state0.theta, t)
             lattice = norm(s.theta, NormId.sobolev(4))
             assert lattice == pytest.approx(expected, rel=1e-4)
-
-
-class TestRk4Scheme:
-    def test_rk4_no_less_accurate_than_rk2(self):
-        """The 4-stage transport substep shrinks the splitting-dominated
-        error constant; order stays >= 2 (Strang limit)."""
-        grid = StripGrid(half_width_lx=4.0 * math.pi, nx=48, ny=8, nu=0.5)
-        rng = np.random.default_rng(7)
-        state0 = band_limited_state(grid, rng, amplitude=0.05)
-
-        def final(dt, scheme):
-            s = state0
-            cfg = StepperConfig(dt=dt, scheme=scheme)
-            for _ in range(int(round(1.0 / dt))):
-                s = step(s, cfg)
-            return s
-
-        ref = final(1.0 / 512.0, "strang-rk4")
-
-        def err(dt, scheme):
-            s = final(dt, scheme)
-            return math.sqrt(
-                float(np.sum(np.abs(s.omega.coeff - ref.omega.coeff) ** 2))
-                + float(np.sum(np.abs(s.theta.coeff - ref.theta.coeff) ** 2))
-            )
-
-        e_rk4_32, e_rk4_64 = err(1 / 32, "strang-rk4"), err(1 / 64, "strang-rk4")
-        order = math.log2(e_rk4_32 / e_rk4_64)
-        assert order >= 1.8
-        # the transport-substep order is invisible next to the splitting
-        # error: both schemes land on the same trajectory
-        a = final(1 / 32, "strang-rk4")
-        b = final(1 / 32, "strang-rk2")
-        scheme_gap = math.sqrt(
-            float(np.sum(np.abs(a.omega.coeff - b.omega.coeff) ** 2))
-            + float(np.sum(np.abs(a.theta.coeff - b.theta.coeff) ** 2))
-        )
-        assert scheme_gap <= 0.05 * e_rk4_32
