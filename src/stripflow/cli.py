@@ -2,10 +2,14 @@
 
 Configuration comes from an optional document (--config), overridden by
 repeatable --set key=value flags plus the --output-dir / --seed shortcuts,
-which count as given after every --set.  A flag always wins over the file,
-the last flag wins when a key is given more than once, and every override
-is recorded in the manifest.  Exit status: 0 success, 2 configuration/
-validation failure, 3 numerical failure.
+which count as given after every --set; the subcommand counts as given
+after every flag, so it replaces any ``experiment`` line or flag.  A flag
+always wins over the file, the last flag wins when a key is given more
+than once, and every override is recorded in the manifest.  The document and
+the flags are handed to ``config.parse_config`` unchanged, so an error in
+the file cites the file's line and an error in a flag names the flag.
+Exit status: 0 success, 2 configuration/validation failure, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import EXPERIMENTS, SCHEMA, parse_config
+from .config import EXPERIMENTS, parse_config
 from .errors import ConfigError
 from .experiments import EXIT_CONFIG, run
 
@@ -42,41 +46,15 @@ def build_parser():
 
 
 def _effective_config(args):
-    lines = []
-    if args.config is not None:
-        lines.append(Path(args.config).read_text().rstrip("\n"))
-
+    text = "" if args.config is None else Path(args.config).read_text()
     overrides = list(args.assignments)
     if args.output_dir is not None:
         overrides.append(f"output_dir={args.output_dir}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    doc_lines = {}
-    for assignment in overrides:
-        if "=" not in assignment:
-            raise ConfigError("expected KEY=VALUE", key=assignment)
-        key, _, value = assignment.partition("=")
-        # a later flag for the same key replaces an earlier one
-        doc_lines[key.strip()] = f"{key.strip()} = {value.strip()}"
-
-    # flags win: strip overridden keys from the file document
-    merged = []
-    for chunk in lines:
-        for raw in chunk.splitlines():
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            key = stripped.split("=", 1)[0].strip()
-            if key in doc_lines or key == "experiment":
-                continue
-            merged.append(raw)
-    merged.append(f"experiment = {args.experiment}")
-    merged.extend(doc_lines.values())
-
-    for key in doc_lines:
-        if key and key not in SCHEMA:
-            raise ConfigError("unknown key", key=key)
-    return parse_config("\n".join(merged)), overrides
+    # the subcommand counts as given after every flag
+    cfg = parse_config(text, overrides + [f"experiment={args.experiment}"])
+    return cfg, overrides
 
 
 def main(argv=None) -> int:

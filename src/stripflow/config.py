@@ -8,7 +8,10 @@ dotted sections (``grid.nx``).  The keys are derived from the fields of
 Unknown keys are errors (a silent typo in nu or the amplitude would
 invalidate smallness assumptions unnoticed); defaults apply only to absent
 keys and are echoed back by serialization, so serialize(parse(text))
-round-trips to an equal config.
+round-trips to an equal config.  ``parse_config`` is the only reader of
+the format: it also applies ``key=value`` overrides (the command line's
+flags) on top of the document, so errors in the document cite its own
+line numbers and errors in an override name the override.
 """
 
 import math
@@ -121,39 +124,58 @@ SCHEMA = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides=()) -> ExperimentConfig:
     """Parse and validate a configuration document.
 
+    ``overrides`` are ``key=value`` strings applied after the document, in
+    order, so the last one given for a key wins.  Each effective value is
+    parsed once: a document value that an override replaces is never read.
+
     Raises:
-        ConfigError: syntax error (with line number), unknown or duplicate
-            key, type mismatch, or a value violating a module precondition
-            (message names the offending key).
+        ConfigError: syntax error (with the document's line number), unknown
+            or duplicate key, malformed override, type mismatch, or a value
+            violating a module precondition (message names the offending key;
+            an override names itself instead of a line).
     """
-    values = {}
+    entries = {}  # key -> (raw value, document line, or None for an override)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, val = _split(line)
+        if not sep:
             raise ConfigError("expected 'key = value'", line=lineno)
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
         if key not in SCHEMA:
             raise ConfigError("unknown key", key=key, line=lineno)
-        if key in values:
+        if key in entries:
             raise ConfigError("duplicate key", key=key, line=lineno)
+        entries[key] = (val, lineno)
+    for assignment in overrides:
+        key, sep, val = _split(assignment)
+        if not sep or not key:
+            raise ConfigError("expected KEY=VALUE", key=assignment)
+        if key not in SCHEMA:
+            raise ConfigError("unknown key", key=key)
+        entries[key] = (val, None)
+
+    values = {}
+    for key, (val, line) in entries.items():
         attr, parser, _ = SCHEMA[key]
         try:
             values[attr] = parser(val)
         except ValueError:
-            raise ConfigError(f"cannot parse value {val!r}", key=key, line=lineno)
+            raise ConfigError(f"cannot parse value {val!r}", key=key, line=line)
 
     if "experiment" not in values:
         raise ConfigError("missing required key", key="experiment")
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
+
+
+def _split(assignment):
+    key, sep, val = assignment.partition("=")
+    return key.strip(), sep, val.strip()
 
 
 def validate_config(cfg: ExperimentConfig):

@@ -81,17 +81,14 @@ def _write_manifest(cfg, out_dir, outputs, summary, t0, overrides):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_curve_csv(path, curve: DecayCurve):
-    lines = ["t,value"]
-    for t, v in zip(curve.times, curve.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_long_csv(path, rows):
-    lines = ["t,norm_id,value"]
-    for t, label, v in rows:
-        lines.append(f"{float(t)!r},{label},{float(v)!r}")
+def _write_csv(path, header, rows):
+    """One line per row; floats (numpy included) as repr(float(v))."""
+    lines = [header]
+    lines.extend(
+        ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                 for v in row)
+        for row in rows
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -137,7 +134,7 @@ def _run_linear_decay_continuum(cfg, out_dir):
     fits = []
     for curve, (_, _, expected) in zip(curves, CONTINUUM_LADDER):
         path = out_dir / f"curve_{curve.label}.csv"
-        _write_curve_csv(path, curve)
+        _write_csv(path, "t,value", zip(curve.times, curve.values))
         outputs.append(path)
         fit = fit_rate(curve, (cfg.times_t_min, cfg.times_t_max))
         fits.append(_fit_payload(curve.label, fit, expected))
@@ -157,7 +154,7 @@ def _linear_snapshots(cfg):
     ], report
 
 
-def _ladder_outputs(cfg, out_dir, states, honesty_tmax):
+def _ladder_outputs(cfg, out_dir, states, report, honesty_tmax):
     window = (cfg.times_t_min, min(cfg.times_t_max, honesty_tmax))
     if window[1] < 10.0 * window[0]:
         raise ConfigError(
@@ -173,23 +170,22 @@ def _ladder_outputs(cfg, out_dir, states, honesty_tmax):
         rows.extend((t, curve.label, v) for t, v in zip(curve.times, curve.values))
         fits.append(_fit_payload(curve.label, fit, expected))
     curves_path = out_dir / "ladder_norms.csv"
-    _write_long_csv(curves_path, rows)
+    _write_csv(curves_path, "t,norm_id,value", rows)
     fits_path = out_dir / "rate_fits.json"
     _write_json(fits_path, fits)
-    return [curves_path, fits_path], fits, window
+    summary = {
+        "fits": fits,
+        "initial_data": report,
+        "honesty_window": {"t_min": window[0], "t_max": window[1],
+                           "truncation_tmax": honesty_tmax},
+    }
+    return [curves_path, fits_path], summary
 
 
 def _run_linear_decay_truncated(cfg, out_dir):
     states, report = _linear_snapshots(cfg)
     honesty = truncation_honesty_tmax(cfg.grid())
-    outputs, fits, window = _ladder_outputs(cfg, out_dir, states, honesty)
-    summary = {
-        "fits": fits,
-        "initial_data": report,
-        "honesty_window": {"t_min": window[0], "t_max": window[1],
-                           "truncation_tmax": honesty},
-    }
-    return outputs, summary
+    return _ladder_outputs(cfg, out_dir, states, report, honesty)
 
 
 def _run_nonlinear_decay(cfg, out_dir):
@@ -203,16 +199,10 @@ def _run_nonlinear_decay(cfg, out_dir):
     if not result.completed:
         raise result.error
 
-    outputs, fits, window = _ladder_outputs(cfg, out_dir, result.states, honesty)
+    outputs, summary = _ladder_outputs(cfg, out_dir, result.states, report, honesty)
     final = result.states[-1]
     outputs.extend(save_state(final, out_dir, f"snapshot_t{final.t:g}"))
-    summary = {
-        "fits": fits,
-        "initial_data": report,
-        "honesty_window": {"t_min": window[0], "t_max": window[1],
-                           "truncation_tmax": honesty},
-        "steps": int(round(t_end / cfg.stepper_dt)),
-    }
+    summary["steps"] = int(round(t_end / cfg.stepper_dt))
     return outputs, summary
 
 
@@ -239,12 +229,9 @@ def _run_symbol_bounds(cfg, out_dir):
         xi = rng_dump.uniform(-50.0, 50.0, 4096)
         k = rng_dump.integers(1, 33, 4096)
         tags = classify_region(xi, k, nu)
-        lines = ["xi,k,region"]
-        lines.extend(
-            f"{float(x)!r},{int(kk)},I{int(tag)}" for x, kk, tag in zip(xi, k, tags)
-        )
         dump = out_dir / f"regions_nu{nu!r}.csv"
-        dump.write_text("\n".join(lines) + "\n")
+        _write_csv(dump, "xi,k,region",
+                   ((x, kk, f"I{tag}") for x, kk, tag in zip(xi, k, tags)))
         outputs.append(dump)
 
     path = out_dir / "symbol_bounds.json"
@@ -258,7 +245,7 @@ def _run_kernel_integral(cfg, out_dir):
     values = np.array([kernel_decay_integral(t) for t in times])
     curve = DecayCurve(times, values, "kernel_integral")
     path = out_dir / "kernel_integral.csv"
-    _write_curve_csv(path, curve)
+    _write_csv(path, "t,value", zip(curve.times, curve.values))
     fit = fit_rate(curve, (cfg.times_t_min, cfg.times_t_max))
     scaled = values * np.sqrt(times)
     k0 = kernel_decay_integral(0.0)
@@ -291,14 +278,9 @@ def _run_energy_check(cfg, out_dir):
     fine = energy_report(states, grid.nu)
     # every other time of the 4001-point tabulation is the 2001-point one
     coarse = fine.thinned(2)
-    rows = ["t,energy,grad_omega_sq,b3"]
-    for i in range(len(fine.times)):
-        rows.append(
-            f"{float(fine.times[i])!r},{float(fine.energy[i])!r},"
-            f"{float(fine.grad_omega_sq[i])!r},{float(fine.b3[i])!r}"
-        )
     csv_path = out_dir / "energy.csv"
-    csv_path.write_text("\n".join(rows) + "\n")
+    _write_csv(csv_path, "t,energy,grad_omega_sq,b3",
+               zip(fine.times, fine.energy, fine.grad_omega_sq, fine.b3))
     payload = {
         "residual_linear_fine": fine.residual_linear,
         "residual_linear_coarse": coarse.residual_linear,
@@ -318,7 +300,7 @@ def _run_oracle_suite(cfg, out_dir):
     nus = (0.01, star, 1.0)
     eval_times = np.array([0.1, 1.0, 10.0, 100.0])
 
-    rows = ["xi,k,nu,t,rel_gap"]
+    rows = []
     worst = 0.0
     for _ in range(cfg.oracle_modes):
         xi = rng.uniform(-50.0, 50.0)
@@ -334,10 +316,10 @@ def _run_oracle_suite(cfg, out_dir):
             m = np.array([[m11[0], m12[0]], [m21[0], m22[0]]])
             gap = relative_gap(m @ y0, ref[i], scale0)
             worst = max(worst, gap)
-            rows.append(f"{float(xi)!r},{k},{float(nu)!r},{float(t)!r},{float(gap)!r}")
+            rows.append((xi, k, nu, t, gap))
 
     csv_path = out_dir / "oracle_errors.csv"
-    csv_path.write_text("\n".join(rows) + "\n")
+    _write_csv(csv_path, "xi,k,nu,t,rel_gap", rows)
     payload = {"modes": cfg.oracle_modes, "max_rel_gap": worst,
                "tolerance": 1e-8, "pass": worst <= 1e-8}
     json_path = out_dir / "oracle_summary.json"

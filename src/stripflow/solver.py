@@ -64,16 +64,19 @@ class StepperConfig:
 
 @dataclass
 class TrajectoryResult:
-    """Snapshots plus a completion flag.
-
-    On an aborted run ``error`` is the exception that stopped it and
-    ``failure`` its message.
-    """
+    """Snapshots, plus the exception that stopped an aborted run."""
 
     states: list
-    completed: bool
-    failure: str | None = None
     error: Exception | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.error is None
+
+    @property
+    def failure(self) -> str | None:
+        """The message of the exception that stopped the run, if any."""
+        return None if self.error is None else str(self.error)
 
 
 @lru_cache(maxsize=16)
@@ -191,8 +194,8 @@ def run_trajectory(state0: FlowState, cfg: StepperConfig, t_end: float,
 
     Each requested sample time is rounded to the nearest step boundary;
     recorded snapshot times are the exact boundary times.  On a step
-    failure the partial trajectory is returned with ``completed=False``,
-    the exception and its message.
+    failure the partial trajectory is returned with ``error`` set to the
+    exception, so ``completed`` is False.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(sample_times) <= 0):
@@ -216,8 +219,8 @@ def run_trajectory(state0: FlowState, cfg: StepperConfig, t_end: float,
                 states.append(state)
                 targets = targets[1:]
     except (CflViolation, NumericalBlowup) as exc:
-        return TrajectoryResult(states, completed=False, failure=str(exc), error=exc)
-    return TrajectoryResult(states, completed=True)
+        return TrajectoryResult(states, error=exc)
+    return TrajectoryResult(states)
 
 
 def make_initial_data(profile: InitialProfile, grid: StripGrid):

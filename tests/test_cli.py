@@ -60,6 +60,33 @@ class TestValidationFailures:
         assert "profile.k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        "# c\n\nseed = 1\nnot a key value\n",
+        "# c\n\nseed = 1\nseed = 2\n",
+    ], ids=["syntax", "duplicate"])
+    def test_config_file_error_cites_its_own_line(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(doc)
+        out = tmp_path / "out"
+        code = run_cli(["nu-star", "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 2
+        assert "line 4:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, named", [
+        ("grid.nx=many", "'grid.nx'"),
+        ("=5", "'=5'"),
+        ("seed", "'seed'"),
+    ])
+    def test_bad_flag_names_itself_not_a_line(self, tmp_path, capsys, flag, named):
+        out = tmp_path / "out"
+        code = run_cli(["nu-star", "--set", flag, "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "line" not in err
+        assert not out.exists()
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run_cli(["defrobnicate"])
@@ -92,6 +119,16 @@ class TestOverrides:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 2
         assert manifest["overrides"][:2] == ["seed=1", "seed=2"]
+
+    def test_subcommand_wins_over_experiment_flag(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(["nu-star", "--set", "experiment=kernel-integral",
+                        "--output-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiment"] == "nu-star"
+        assert manifest["outputs"] == ["nu_star.json"]
+        assert "experiment=kernel-integral" in manifest["overrides"]
 
 
 class TestDeterminism:

@@ -35,6 +35,37 @@ class TestParse:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("experiment = nu-star\n# fine\nnot a key value\n")
 
+    @pytest.mark.parametrize("doc, match", [
+        ("# c\n\nseed = 3\nnot a key value\n", "line 4: expected"),
+        ("# c\n\nseed = 3\nseed = 4\n", "line 4: key 'seed': duplicate"),
+        ("# c\n\nseed = 3\ngrid.viscocity = 1\n", "line 4: key 'grid.viscocity'"),
+        ("# c\n\nseed = 3\ngrid.nx = many\n", "line 4: key 'grid.nx': cannot parse"),
+    ], ids=["syntax", "duplicate", "unknown", "value"])
+    def test_document_errors_cite_the_document_line_under_overrides(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc, ["experiment=nu-star"])
+
+    @pytest.mark.parametrize("assignment, key, match", [
+        ("grid.nx=many", "grid.nx", "cannot parse"),
+        ("viscocity=1.0", "viscocity", "unknown key"),
+        ("=5", "=5", "expected KEY=VALUE"),
+        ("seed", "seed", "expected KEY=VALUE"),
+    ])
+    def test_bad_override_names_itself_not_a_line(self, assignment, key, match):
+        with pytest.raises(ConfigError, match=match) as exc:
+            parse_config("experiment = nu-star\n", [assignment])
+        assert exc.value.key == key
+        assert exc.value.line is None
+        assert "line" not in str(exc.value)
+
+    def test_later_override_replaces_earlier_and_the_document(self):
+        cfg = parse_config("experiment = nu-star\nseed = 1\n", ["seed=2", "seed=3"])
+        assert cfg.seed == 3
+
+    def test_replaced_document_value_is_never_parsed(self):
+        cfg = parse_config("experiment = nu-star\ngrid.nx = many\n", ["grid.nx=64"])
+        assert cfg.grid_nx == 64
+
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="grid.nx"):
             parse_config("experiment = nu-star\ngrid.nx = many\n")
