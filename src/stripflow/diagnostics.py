@@ -9,6 +9,10 @@ coefficient convention (see fields module):
 with the multiplier w drawn from {1, xi, xi^2, k pi, xi k pi} or the
 Sobolev weight (1 + xi^2 + pi^2 k^2)^{m/2}.  l1hat of a field dominates its
 sup norm, so it serves as the L-infinity surrogate in the decay ladder.
+
+The hat-norms, the energy report and the ladder reduce only the span of
+sine rows the data occupy (fields.occupied_rows, NaN and inf counting as
+occupied), so their cost scales with that span rather than the lattice.
 """
 
 from __future__ import annotations
@@ -19,11 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, WindowTooShort
-from .fields import Parity, SpectralField, laplace_symbol, xi_values, y_wavenumbers
-from .operators import poisson_inverse
+from .fields import (
+    Parity,
+    SpectralField,
+    laplace_symbol,
+    occupied_rows,
+    xi_values,
+    y_wavenumbers,
+)
 from .transforms import physical_max
 
-#: seminorm multiplier of a hat-norm, as a function of (xi, k pi)
+#: seminorm multiplier of a hat-norm, as a function of (xi, k pi); each is
+#: nonnegative, so the reductions may weight |coeff| instead of coeff
 SEMINORM_WEIGHTS = {
     "1": lambda xi, kpi: 1.0,
     "xi": lambda xi, kpi: np.abs(xi),
@@ -91,9 +102,16 @@ def _lattice_weight(grid, parity, nid):
     return norm_weight(nid, xi, kpi)
 
 
-def _lattice_norm(w, coeff, nid, dxi):
-    """Lattice reduction of |w coeff|: l1 sum or l2 root-sum-square, times dxi."""
-    weighted = np.abs(w * coeff)
+def _occupied_modulus(coeff):
+    """The span of sine rows coeff occupies, and |coeff| on that span."""
+    rows = occupied_rows(coeff)
+    return rows, np.abs(coeff[:, rows])
+
+
+def _lattice_norm(w, rows, modulus, nid, dxi):
+    """Reduction of the weight w >= 0 times |coeff| (from _occupied_modulus):
+    l1 sum or l2 root-sum-square, times dxi."""
+    weighted = w[:, rows] * modulus
     if nid.kind == "l1hat":
         return float(weighted.sum() * dxi)
     return math.sqrt((weighted**2).sum() * dxi)
@@ -102,13 +120,14 @@ def _lattice_norm(w, coeff, nid, dxi):
 def norm(f: SpectralField, nid: NormId) -> float:
     """Evaluate one norm of a spectral field.
 
+    The hat-norms reduce only the span of sine rows the field occupies.
     linf is the max of |f| on a 2x-refined collocation grid (the collocation
     max alone underestimates the true sup for band-limited fields).
     """
     if nid.kind == "linf":
         return physical_max(f, refine=2)
     w = _lattice_weight(f.grid, f.parity, nid)
-    return _lattice_norm(w, f.coeff, nid, f.grid.dxi)
+    return _lattice_norm(w, *_occupied_modulus(f.coeff), nid, f.grid.dxi)
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -305,18 +324,25 @@ def energy_report(traj, nu, nonlinear_terms=None) -> EnergyReport:
     for s in traj:
         if grid is None:
             grid = s.grid
-            xi = xi_values(grid)[:, None]
+            dxi = grid.dxi
             lap = laplace_symbol(grid, Parity.ODD)
+            xi = np.repeat(xi_values(grid)[:, None], grid.ny, axis=1)
         elif s.grid != grid:
             raise GridMismatchError("snapshots on different grids")
+        rows = occupied_rows(s.omega.coeff, s.theta.coeff)
+        p, x = lap[:, rows], xi[:, rows]
+        om, th = s.omega.coeff[:, rows], s.theta.coeff[:, rows]
+        th_sq = th.real**2 + th.imag**2
+        om_sq = om.real**2 + om.imag**2
         times.append(s.t)
-        energy.append(grad_inner(s.theta, s.theta) + l2_inner(s.omega, s.omega))
-        grad_omega_sq.append(grad_inner(s.omega, s.omega))
+        energy.append(float(np.sum(p * th_sq)) * dxi + float(np.sum(om_sq)) * dxi)
+        grad_omega_sq.append(float(np.sum(p * om_sq)) * dxi)
         # B3 = <grad d/dx (-Lap)^{-1} omega, grad theta> + <d/dx theta, omega>
-        stream_dx = 1j * xi * poisson_inverse(s.omega).coeff
-        term1 = np.real(np.sum(lap * stream_dx * np.conj(s.theta.coeff)))
-        term2 = np.real(np.sum(1j * xi * s.theta.coeff * np.conj(s.omega.coeff)))
-        b3.append((term1 + term2) * grid.dxi)
+        #    = sum p xi Im(theta conj(psi)) + sum xi Im(omega conj(theta)) with
+        # psi = omega / p; the two terms cancel only through that division
+        term1 = np.sum(p * x * ((om.real / p) * th.imag - (om.imag / p) * th.real))
+        term2 = np.sum(x * (th.real * om.imag - th.imag * om.real))
+        b3.append(float(term1 + term2) * dxi)
         if nonlinear_terms is not None:
             n_omega, n_theta = nonlinear_terms(s)
             b1.append(-l2_inner(n_omega, s.omega))
@@ -358,21 +384,30 @@ def theorem_suite(traj, window=None, min_span=10.0):
         list of (DecayCurve, RateFit, expected_exponent) triples.
 
     Raises:
+        ValueError: no window given and no snapshot at t > 0.
         WindowTooShort: window spans less than ``min_span`` in t.
     """
     times = np.array([s.t for s in traj])
     if window is None:
         positive = times[times > 0]
+        if positive.size == 0:
+            raise ValueError("the default window needs a snapshot at t > 0")
         window = (float(positive.min()), float(times.max()))
     t_min, t_max = window
     if not t_max >= min_span * t_min:
         raise WindowTooShort(min_span, t_max / t_min if t_min > 0 else math.inf)
 
     grid = traj[0].grid
+    weights = [_lattice_weight(grid, Parity.ODD, nid) for _, _, nid, _ in THEOREM_LADDER]
+    values = [[] for _ in THEOREM_LADDER]
+    for s in traj:
+        # one span and one |coeff| per field and snapshot, shared by the rows
+        moduli = {"omega": _occupied_modulus(s.omega.coeff),
+                  "theta": _occupied_modulus(s.theta.coeff)}
+        for (_, which, nid, _), w, vals in zip(THEOREM_LADDER, weights, values):
+            vals.append(_lattice_norm(w, *moduli[which], nid, grid.dxi))
     results = []
-    for label, which, nid, expected in THEOREM_LADDER:
-        w = _lattice_weight(grid, Parity.ODD, nid)
-        vals = [_lattice_norm(w, getattr(s, which).coeff, nid, grid.dxi) for s in traj]
+    for (label, _, _, expected), vals in zip(THEOREM_LADDER, values):
         curve = DecayCurve(times, vals, label)
         results.append((curve, fit_rate(curve, window), expected))
     return results

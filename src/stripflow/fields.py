@@ -236,6 +236,24 @@ class InitialProfile:
                 raise TypeError("profile entries must be ProfileComponent")
 
 
+def occupied_rows(*coeffs):
+    """Span of k columns, first to last, where any array holds a nonzero.
+
+    NaN and inf count as nonzero.  The span is a basic slice, so indexing
+    the k axis with it gives a view; rows inside it may be empty, and
+    all-zero input gives an empty span.  A span over more than half the
+    columns widens to all of them: numpy walks a strided view row by row,
+    and on most of the lattice that costs more than the contiguous whole.
+    """
+    held = np.flatnonzero(np.logical_or.reduce([np.any(c, axis=0) for c in coeffs]))
+    if held.size == 0:
+        return slice(0, 0)
+    first, last = int(held[0]), int(held[-1])
+    if 2 * (last + 1 - first) > coeffs[0].shape[1]:
+        return slice(None)
+    return slice(first, last + 1)
+
+
 def _check_same_lattice(a, b):
     if a.grid != b.grid:
         raise GridMismatchError("fields live on different grids")

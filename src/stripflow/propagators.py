@@ -35,6 +35,7 @@ from .fields import (
     Parity,
     SpectralField,
     StripGrid,
+    occupied_rows,
     require_parity,
     xi_values,
 )
@@ -226,8 +227,8 @@ def propagate_linear_pair(
     """Evolve the coupled linear pair exactly by its matrix exponential.
 
     exp(tA) has finite entries, so it maps a zero mode to zero: only the
-    sine rows where omega0 or theta0 holds a nonzero coefficient (NaN and
-    inf included) are evaluated, and the cost scales with those rows.
+    span of sine rows where omega0 or theta0 holds a nonzero coefficient
+    (fields.occupied_rows) is evaluated, and the cost scales with it.
     """
     require_parity(omega0, Parity.ODD, "propagate_linear_pair")
     require_parity(theta0, Parity.ODD, "propagate_linear_pair")
@@ -236,7 +237,7 @@ def propagate_linear_pair(
     if t < 0:
         raise ValueError("t must be >= 0")
     grid = omega0.grid
-    rows = np.flatnonzero(np.any(omega0.coeff, axis=0) | np.any(theta0.coeff, axis=0))
+    rows = occupied_rows(omega0.coeff, theta0.coeff)
     m11, m12, m21, m22 = pair_matrix(grid, float(t), rows)
     om, th0 = omega0.coeff[:, rows], theta0.coeff[:, rows]
     w, th = np.zeros_like(omega0.coeff), np.zeros_like(theta0.coeff)

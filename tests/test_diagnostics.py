@@ -13,6 +13,7 @@ from stripflow.diagnostics import (
     NormId,
     energy_report,
     fit_rate,
+    grad_inner,
     l2_inner,
     norm,
     theorem_suite,
@@ -20,14 +21,16 @@ from stripflow.diagnostics import (
 from stripflow.errors import GridMismatchError, WindowTooShort
 from stripflow.fields import (
     FlowState,
+    InitialProfile,
     Parity,
+    ProfileComponent,
     SpectralField,
     StripGrid,
     random_field,
     xi_values,
 )
 from stripflow.propagators import propagate_linear_pair
-from stripflow.solver import nonlinear_term
+from stripflow.solver import make_initial_data, nonlinear_term
 from stripflow.transforms import quadrature_l2, to_physical
 
 
@@ -137,6 +140,20 @@ def linear_snapshots(grid, rng, n, t_end, amplitude=1.0):
     return [propagate_linear_pair(omega0, theta0, t) for t in ts]
 
 
+#: 16 sine rows, so data in rows 1..8 take the strided span, not the whole axis
+TALL_GRID = StripGrid(half_width_lx=20.0 * math.pi, nx=64, ny=16, nu=1.0)
+
+
+def row_snapshots(grid, ks, times):
+    """Exact linear snapshots of profile data held in the sine rows ``ks``."""
+    profile = InitialProfile(
+        theta=[ProfileComponent(k, 1.0, 1.0 + 0.5 * k) for k in ks],
+        omega=[ProfileComponent(k, -0.3, 0.8) for k in ks],
+    )
+    state0, _ = make_initial_data(profile, grid)
+    return [propagate_linear_pair(state0.omega, state0.theta, t) for t in times]
+
+
 class TestEnergyReport:
     def test_zero_trajectory_reports_zero(self, small_grid):
         zero = SpectralField.zeros(small_grid, Parity.ODD)
@@ -168,6 +185,26 @@ class TestEnergyReport:
         rep = energy_report(traj, medium_grid.nu)
         scale = max(rep.energy.max(), 1e-300)
         assert np.abs(rep.b3).max() <= 1e-10 * scale
+
+    def test_one_row_data_match_full_lattice_inner_products(self):
+        traj = row_snapshots(TALL_GRID, [2], np.linspace(0.0, 1.0, 5))
+        rep = energy_report(traj, TALL_GRID.nu)
+        energy = [grad_inner(s.theta, s.theta) + l2_inner(s.omega, s.omega)
+                  for s in traj]
+        grad_omega_sq = [grad_inner(s.omega, s.omega) for s in traj]
+        np.testing.assert_allclose(rep.energy, energy, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rep.grad_omega_sq, grad_omega_sq, rtol=1e-14, atol=0)
+        assert np.abs(rep.b3).max() <= 1e-10 * rep.energy.max()
+
+    def test_nan_in_an_empty_row_is_not_skipped(self):
+        traj = row_snapshots(TALL_GRID, [2], np.linspace(0.0, 1.0, 3))
+        traj[1].theta.coeff[3, 6] = np.nan
+        rep = energy_report(traj, TALL_GRID.nu)
+        assert np.isfinite(rep.energy[[0, 2]]).all()
+        assert not np.isfinite(rep.energy[1])
+        for nid in (NormId.l2hat(), NormId.l1hat(), NormId.sobolev(4)):
+            assert not math.isfinite(norm(traj[1].theta, nid))
+            assert math.isfinite(norm(traj[0].theta, nid))
 
     def test_rejects_nonuniform_spacing(self, small_grid, rng):
         zero = SpectralField.zeros(small_grid, Parity.ODD)
@@ -268,6 +305,20 @@ class TestTheoremSuite:
             assert curve.label == label
             want = [norm(getattr(s, which), nid) for s in traj]
             assert np.array_equal(curve.values, want)
+
+    @pytest.mark.parametrize("ks", [[1], [1, 5]], ids=["one_row", "rows_1_and_5"])
+    def test_curves_equal_norm_on_sparse_rows(self, ks):
+        traj = row_snapshots(TALL_GRID, ks, np.logspace(0, 1.1, 12))
+        results = theorem_suite(traj, window=(1.0, 12.5))
+        for (curve, _, _), (_, which, nid, _) in zip(results, THEOREM_LADDER):
+            want = [norm(getattr(s, which), nid) for s in traj]
+            assert np.array_equal(curve.values, want)
+
+    def test_default_window_needs_a_positive_time(self, small_grid):
+        zero = SpectralField.zeros(small_grid, Parity.ODD)
+        traj = [FlowState(0.0, zero, zero)]
+        with pytest.raises(ValueError, match="needs a snapshot at t > 0"):
+            theorem_suite(traj)
 
 
 class TestInnerProducts:

@@ -16,6 +16,7 @@ from stripflow.fields import (
     StripGrid,
     hermitian_project,
     is_hermitian,
+    occupied_rows,
     random_field,
     xi_values,
 )
@@ -135,3 +136,41 @@ class TestProfiles:
     def test_profile_rejects_non_components(self):
         with pytest.raises(TypeError):
             InitialProfile(theta=((1, 1.0),))
+
+
+class TestOccupiedRows:
+    def test_empty_input_gives_an_empty_span(self, medium_grid):
+        c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
+        rows = occupied_rows(c, c)
+        assert rows == slice(0, 0)
+        assert c[:, rows].shape == (medium_grid.nx, 0)
+
+    def test_single_row_is_a_view(self, medium_grid):
+        c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
+        c[5, 2] = 1e-300j
+        rows = occupied_rows(c)
+        assert rows == slice(2, 3)
+        assert np.shares_memory(c[:, rows], c)
+
+    def test_span_covers_the_gap_between_arrays(self, medium_grid):
+        a = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
+        b = a.copy()
+        a[1, 1] = 1.0
+        b[0, 4] = -2.0
+        assert occupied_rows(a, b) == slice(1, 5)
+        assert occupied_rows(b, a) == slice(1, 5)
+
+    def test_nan_and_inf_count_as_occupied(self, medium_grid):
+        c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
+        c[0, 1] = np.nan
+        assert occupied_rows(c) == slice(1, 2)
+        c[2, 3] = complex(0.0, np.inf)
+        assert occupied_rows(c) == slice(1, 4)
+
+    def test_span_over_half_the_rows_is_the_whole_axis(self, medium_grid):
+        c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
+        c[0, [2, 5]] = 1.0  # four of eight rows
+        assert occupied_rows(c) == slice(2, 6)
+        c[0, 6] = 1.0  # five of eight
+        assert occupied_rows(c) == slice(None)
+        assert c[:, occupied_rows(c)].flags.c_contiguous
