@@ -18,6 +18,7 @@ import numpy as np
 from .diagnostics import DecayCurve, NormId, norm_weight
 from .fields import InitialProfile
 from .propagators import (
+    apply_pair,
     classify_region,
     pair_derivatives,
     pair_exponential,
@@ -35,12 +36,12 @@ def nu_star() -> float:
     return math.sqrt(NU_STAR_SQUARED)
 
 
-def nu_star_grid_search(xi_max=50.0, k_max=50, points=1_000_000, k_min=1):
+def nu_star_grid_search(k_min=1):
     """Brute-force confirmation of nu*^2 by dense grid scan.
 
-    Spends half the point budget on a uniform sweep per k and the other
-    half refining around the best coarse cell, so the quadratic peak is
-    resolved well below 1e-9.
+    Scans 0 <= xi <= 50 and k_min <= k <= 50 with a budget of 1e6 points:
+    half on a uniform sweep per k and the other half refining around the
+    best coarse cell, so the quadratic peak is resolved well below 1e-9.
 
     Returns:
         (best_value, best_xi, best_k): max of 4 xi^2 / p^3 over the grid.
@@ -50,6 +51,7 @@ def nu_star_grid_search(xi_max=50.0, k_max=50, points=1_000_000, k_min=1):
         p = xi**2 + (math.pi * k) ** 2
         return 4.0 * xi**2 / p**3
 
+    xi_max, k_max, points = 50.0, 50, 1_000_000
     per_k = max(points // (2 * max(k_max - k_min + 1, 1)), 1000)
     best = (0.0, 0.0, k_min)
     for k in range(k_min, k_max + 1):
@@ -125,16 +127,18 @@ class SymbolBoundReport:
         return True
 
 
-def sample_region_modes(nu, region, count, rng, xi_decades=(-4.0, 3.0), k_max=32):
+def sample_region_modes(nu, region, count, rng):
     """Draw (xi, k) pairs from one frequency region, stratified per k.
 
-    For each k the region's xi-sections are located on a dense log
-    lattice; samples are spread as stratified quantiles across the member
-    set (with jitter inside each stratum) and the section endpoints are
-    always included, since the ratio extrema of the envelope bounds sit at
-    the section boundaries where sigma degenerates.  Signs are random.
+    For each k = 1..32 the region's xi-sections are located on a dense log
+    lattice over 1e-4 <= xi <= 1e3; samples are spread as stratified
+    quantiles across the member set (with jitter inside each stratum) and
+    the section endpoints are always included, since the ratio extrema of
+    the envelope bounds sit at the section boundaries where sigma
+    degenerates.  Signs are random.
     """
-    lattice = 10.0 ** np.linspace(xi_decades[0], xi_decades[1], 3000)
+    k_max = 32
+    lattice = 10.0 ** np.linspace(-4.0, 3.0, 3000)
     members = {}
     for k in range(1, k_max + 1):
         sel = classify_region(lattice, k, nu) == region
@@ -176,19 +180,17 @@ def sample_region_modes(nu, region, count, rng, xi_decades=(-4.0, 3.0), k_max=32
     return xs[order], ks[order]
 
 
-def verify_symbol_bounds(nu, region, samples, rng, t_grid=None) -> SymbolBoundReport:
+def verify_symbol_bounds(nu, region, samples, rng) -> SymbolBoundReport:
     """Measure the smallest constants C making the printed envelopes hold.
 
     Draws ``samples`` modes from the region (plus a doubled batch for the
-    stability check), evaluates |l1|, |l2|, |dt l1|, |dt l2| on a log t-grid
-    and maximizes quantity/envelope.  An empty region (possible for larger
-    nu) is a distinct outcome, not a failure.
+    stability check), evaluates |l1|, |l2|, |dt l1|, |dt l2| at 26
+    log-spaced times in [1e-2, 1e3] and maximizes quantity/envelope.  An
+    empty region (possible for larger nu) is a distinct outcome, not a
+    failure.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if t_grid is None:
-        t_grid = np.logspace(-2, 3, 26)
-    t_grid = np.asarray(t_grid, dtype=float)
 
     def measure(n):
         xi, k = sample_region_modes(nu, region, n, rng)
@@ -196,7 +198,7 @@ def verify_symbol_bounds(nu, region, samples, rng, t_grid=None) -> SymbolBoundRe
             return None, 0
         p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
         worst = {q: 0.0 for q in ("l1", "l2", "dt_l1", "dt_l2")}
-        for t in t_grid:
+        for t in np.logspace(-2, 3, 26):
             l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
             d1, d2 = pair_derivatives(nu * p, t, (lam_p, lam_m), (l1, l2))
             for q, v in (("l1", l1), ("l2", l2), ("dt_l1", d1), ("dt_l2", d2)):
@@ -239,7 +241,7 @@ def _gauss_panels(edges, n):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _beta_panels(tau_max, nodes_per_panel=24):
+def _beta_panels(tau_max):
     """Quadrature for g(tau) = int_0^{pi/2} e^{-tau sin^2(2b)/4} cos^2 b db.
 
     The integrand peaks at both endpoints with width ~1/sqrt(tau); panel
@@ -254,16 +256,16 @@ def _beta_panels(tau_max, nodes_per_panel=24):
     offsets.append(0.0)
     left = [o for o in sorted(offsets)]
     edges = left + [math.pi / 2.0 - o for o in sorted(offsets, reverse=True)[1:]]
-    return _gauss_panels(edges, nodes_per_panel)
+    return _gauss_panels(edges, 24)
 
 
-def kernel_decay_integral(t, tail_rtol=1e-8):
+def kernel_decay_integral(t):
     """K(t) = int_pi^inf int_R e^{-xi^2 t/(xi^2+eta^2)^2} (xi^2+eta^2)^{-2}.
 
     The xi-integral reduces by xi = eta u, u = tan(beta) to
     2 eta^{-3} g(t/eta^2); eta is truncated at H with the analytic tail
-    bound pi/(4 H^2) kept below ``tail_rtol`` times the integral (H grows
-    like t^{1/4} because K itself decays like t^{-1/2}).
+    bound pi/(4 H^2) kept below 1e-8 times the integral (H grows like
+    t^{1/4} because K itself decays like t^{-1/2}).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -279,9 +281,9 @@ def kernel_decay_integral(t, tail_rtol=1e-8):
     value = float(np.sum(w_eta * 2.0 / eta**3 * g))
 
     tail = math.pi / (4.0 * H * H)
-    if tail > tail_rtol * value:
+    if tail > 1e-8 * value:
         raise RuntimeError(
-            f"eta-truncation tail {tail:.2e} above {tail_rtol:.0e} of K={value:.3e}"
+            f"eta-truncation tail {tail:.2e} above 1e-8 of K={value:.3e}"
         )
     return value
 
@@ -325,20 +327,17 @@ def kernel_decay_integral_polar(t):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Continuum xi-quadrature: cutoff and Gauss-Legendre panel resolution."""
+    """Continuum xi-quadrature on [0, 8]: Gauss-Legendre nodes per panel."""
 
-    xi_cutoff: float = 8.0
     xi_points: int = 64
-    k_max: int = 64
 
     def __post_init__(self):
-        if self.xi_cutoff <= 0 or self.xi_points < 8 or self.k_max < 1:
-            raise ValueError("invalid quadrature parameters")
+        if self.xi_points < 8:
+            raise ValueError("xi_points must be >= 8")
 
     def nodes(self):
         """Positive-axis nodes and weights (integrands here are even in xi)."""
-        base = np.array([0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0])
-        edges = base[base < self.xi_cutoff].tolist() + [self.xi_cutoff]
+        edges = [0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0]
         return _gauss_panels(edges, self.xi_points)
 
 
@@ -385,9 +384,8 @@ def continuum_linear_decay(profile: InitialProfile, nu, norms, times,
         kpi = math.pi * k
         weights = [norm_weight(nid, xi, kpi) for _, nid in norms]
         for it, t in enumerate(times):
-            m11, m12, m21, m22 = pair_exponential(xi, p, sigma, (lam_p, lam_m), nu, t)
-            th = np.abs(m22 * theta0[k] + m21 * omega0[k])
-            om = np.abs(m11 * omega0[k] + m12 * theta0[k])
+            m = pair_exponential(xi, p, sigma, (lam_p, lam_m), nu, t)
+            om, th = (np.abs(v) for v in apply_pair(m, omega0[k], theta0[k]))
             for i, (field_name, nid) in enumerate(norms):
                 v = th if field_name == "theta" else om
                 wv = weights[i] * v

@@ -47,8 +47,7 @@ class ExperimentConfig:
     grid_nu: float = 1.0
     # stepper
     stepper_dt: float = 0.5
-    stepper_cfl_safety: float = 0.8
-    stepper_dealias_fraction: float = 2.0 / 3.0
+    # the only scheme; the key stays so documents that name it still parse
     stepper_scheme: str = "strang-rk2"
     # initial profile (single sine row, Gaussian xi-envelope)
     profile_k: int = 1
@@ -73,12 +72,7 @@ class ExperimentConfig:
         )
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(
-            dt=self.stepper_dt,
-            cfl_safety=self.stepper_cfl_safety,
-            dealias_fraction=self.stepper_dealias_fraction,
-            scheme=self.stepper_scheme,
-        )
+        return StepperConfig(dt=self.stepper_dt)
 
     def profile(self) -> InitialProfile:
         return InitialProfile(
@@ -198,6 +192,8 @@ def validate_config(cfg: ExperimentConfig):
         cfg.stepper()
     except ValueError as exc:
         raise ConfigError(str(exc), key=_field_key(str(exc), "stepper"))
+    if cfg.stepper_scheme != "strang-rk2":
+        raise ConfigError("scheme must be 'strang-rk2'", key="stepper.scheme")
     if not 1 <= cfg.profile_k <= cfg.grid_ny:
         raise ConfigError(
             f"profile k must be in [1, grid.ny = {cfg.grid_ny}]", key="profile.k"

@@ -125,7 +125,7 @@ def norm(f: SpectralField, nid: NormId) -> float:
     max alone underestimates the true sup for band-limited fields).
     """
     if nid.kind == "linf":
-        return physical_max(f, refine=2)
+        return physical_max(f)
     w = _lattice_weight(f.grid, f.parity, nid)
     return _lattice_norm(w, *_occupied_modulus(f.coeff), nid, f.grid.dxi)
 
@@ -188,9 +188,9 @@ class RateFit:
 def fit_rate(curve: DecayCurve, window) -> RateFit:
     """Least-squares line through (log t, log value) inside the window.
 
-    The slope is computed from pairwise log-ratios, which makes the
-    exponent bit-identical under exact rescaling of the values (the
-    intercept absorbs the scale).
+    The slope regresses the log-ratio to the first sample in the window,
+    which makes the exponent bit-identical under exact rescaling of the
+    values (the intercept absorbs the scale).
 
     Raises:
         ValueError: fewer than 8 samples in the window, or non-positive
@@ -211,15 +211,9 @@ def fit_rate(curve: DecayCurve, window) -> RateFit:
         raise ValueError("non-positive values in fit window")
 
     x = np.log(ts)
-    num = 0.0
-    den = 0.0
-    n = len(ts)
-    for i in range(n - 1):
-        dx = x[i + 1 :] - x[i]
-        dy = np.log(vs[i + 1 :] / vs[i])
-        num += float(np.sum(dx * dy))
-        den += float(np.sum(dx * dx))
-    slope = num / den
+    d = np.log(vs / vs[0])
+    xc = x - x.mean()
+    slope = float(np.sum(xc * (d - d.mean())) / np.sum(xc * xc))
 
     y = np.log(vs)
     intercept = float(y.mean() - slope * x.mean())
@@ -372,40 +366,53 @@ THEOREM_LADDER = (
 )
 
 
-def theorem_suite(traj, window=None, min_span=10.0):
+def _require_decade(window):
+    t_min, t_max = window
+    if not t_max >= 10.0 * t_min:
+        raise WindowTooShort(10.0, t_max / t_min if t_min > 0 else math.inf)
+
+
+def theorem_suite(traj, window=None):
     """Ladder norms along a trajectory with a rate fit per curve.
 
     Args:
-        traj: list of FlowState snapshots (increasing t)
-        window: (t_min, t_max) fit window; defaults to the snapshot span
-        min_span: required ratio t_max/t_min (one decade by default)
+        traj: iterable of FlowState snapshots (increasing t); each snapshot
+            is read once, so a generator keeps memory at a few lattices
+            however many times are sampled
+        window: (t_min, t_max) fit window; defaults to the span of the
+            snapshots at t > 0
 
     Returns:
         list of (DecayCurve, RateFit, expected_exponent) triples.
 
     Raises:
         ValueError: no window given and no snapshot at t > 0.
-        WindowTooShort: window spans less than ``min_span`` in t.
+        WindowTooShort: the window spans less than a decade in t; a given
+            window is checked before any snapshot is read.
     """
-    times = np.array([s.t for s in traj])
-    if window is None:
-        positive = times[times > 0]
-        if positive.size == 0:
-            raise ValueError("the default window needs a snapshot at t > 0")
-        window = (float(positive.min()), float(times.max()))
-    t_min, t_max = window
-    if not t_max >= min_span * t_min:
-        raise WindowTooShort(min_span, t_max / t_min if t_min > 0 else math.inf)
-
-    grid = traj[0].grid
-    weights = [_lattice_weight(grid, Parity.ODD, nid) for _, _, nid, _ in THEOREM_LADDER]
+    if window is not None:
+        _require_decade(window)
+    times = []
     values = [[] for _ in THEOREM_LADDER]
+    grid = None
     for s in traj:
+        if grid is None:
+            grid = s.grid
+            weights = [_lattice_weight(grid, Parity.ODD, nid)
+                       for _, _, nid, _ in THEOREM_LADDER]
+        times.append(s.t)
         # one span and one |coeff| per field and snapshot, shared by the rows
         moduli = {"omega": _occupied_modulus(s.omega.coeff),
                   "theta": _occupied_modulus(s.theta.coeff)}
         for (_, which, nid, _), w, vals in zip(THEOREM_LADDER, weights, values):
             vals.append(_lattice_norm(w, *moduli[which], nid, grid.dxi))
+    times = np.array(times)
+    if window is None:
+        positive = times[times > 0]
+        if positive.size == 0:
+            raise ValueError("the default window needs a snapshot at t > 0")
+        window = (float(positive.min()), float(times.max()))
+        _require_decade(window)
     results = []
     for (label, _, _, expected), vals in zip(THEOREM_LADDER, values):
         curve = DecayCurve(times, vals, label)

@@ -96,11 +96,10 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _fit_payload(label, fit, expected=None):
+def _fit_payload(label, fit, expected):
     payload = fit.as_dict()
     payload["label"] = label
-    if expected is not None:
-        payload["expected_exponent"] = expected
+    payload["expected_exponent"] = expected
     return payload
 
 
@@ -145,15 +144,6 @@ def _run_linear_decay_continuum(cfg, out_dir):
     return outputs, summary
 
 
-def _linear_snapshots(cfg):
-    grid = cfg.grid()
-    state0, report = make_initial_data(cfg.profile(), grid)
-    times = np.concatenate([[0.0], cfg.sample_times()])
-    return [
-        propagate_linear_pair(state0.omega, state0.theta, t) for t in times
-    ], report
-
-
 def _ladder_outputs(cfg, out_dir, states, report, honesty_tmax):
     window = (cfg.times_t_min, min(cfg.times_t_max, honesty_tmax))
     if window[1] < 10.0 * window[0]:
@@ -183,8 +173,14 @@ def _ladder_outputs(cfg, out_dir, states, report, honesty_tmax):
 
 
 def _run_linear_decay_truncated(cfg, out_dir):
-    states, report = _linear_snapshots(cfg)
-    honesty = truncation_honesty_tmax(cfg.grid())
+    grid = cfg.grid()
+    state0, report = make_initial_data(cfg.profile(), grid)
+    # a generator: theorem_suite reads each snapshot once
+    states = (
+        propagate_linear_pair(state0.omega, state0.theta, t)
+        for t in np.concatenate([[0.0], cfg.sample_times()])
+    )
+    honesty = truncation_honesty_tmax(grid)
     return _ladder_outputs(cfg, out_dir, states, report, honesty)
 
 

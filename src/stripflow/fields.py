@@ -282,12 +282,13 @@ def hermitian_project(grid, coeff):
     return out
 
 
-def is_hermitian(grid, coeff, tol=1e-12):
+def is_hermitian(grid, coeff):
+    """coeff[-j] equals conj(coeff[j]) to 1e-12 of the largest |coeff|."""
     rev = np.empty_like(coeff)
     rev[0] = coeff[0]
     rev[1:] = coeff[:0:-1]
     scale = np.abs(coeff).max() or 1.0
-    return np.abs(coeff - np.conj(rev)).max() <= tol * scale
+    return np.abs(coeff - np.conj(rev)).max() <= 1e-12 * scale
 
 
 def random_field(grid, parity, rng, amplitude=1.0, kmax=None, jmax=None):

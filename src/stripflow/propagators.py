@@ -197,6 +197,12 @@ def pair_exponential(xi, p, sigma, lam, nu, t):
     return m11, m12, m21, m22
 
 
+def apply_pair(m, omega, theta):
+    """exp(tA) (omega, theta) for the entries m = (m11, m12, m21, m22)."""
+    m11, m12, m21, m22 = m
+    return m11 * omega + m12 * theta, m21 * omega + m22 * theta
+
+
 def pair_matrix(grid: StripGrid, t: float, rows=slice(None)):
     """pair_exponential on the grid's Odd lattice, at the sine rows ``rows``.
 
@@ -238,11 +244,9 @@ def propagate_linear_pair(
         raise ValueError("t must be >= 0")
     grid = omega0.grid
     rows = occupied_rows(omega0.coeff, theta0.coeff)
-    m11, m12, m21, m22 = pair_matrix(grid, float(t), rows)
-    om, th0 = omega0.coeff[:, rows], theta0.coeff[:, rows]
+    m = pair_matrix(grid, float(t), rows)
     w, th = np.zeros_like(omega0.coeff), np.zeros_like(theta0.coeff)
-    w[:, rows] = m11 * om + m12 * th0
-    th[:, rows] = m21 * om + m22 * th0
+    w[:, rows], th[:, rows] = apply_pair(m, omega0.coeff[:, rows], theta0.coeff[:, rows])
     return FlowState(
         t=float(t),
         omega=SpectralField(grid, Parity.ODD, w),

@@ -12,7 +12,8 @@ midpoint-rule substep of the pure transport terms, and a second linear
 half step.  The linear part is exact per mode, so the scheme has no
 stiffness restriction; only the advective CFL bound limits dt.  Transport
 products are formed pointwise on the shared collocation grid and
-dealiased by the 2/3 rule in both directions.
+dealiased by the 2/3 rule in both directions.  The rule and the CFL
+safety factor are constants of the method, not settings.
 """
 
 from __future__ import annotations
@@ -37,29 +38,27 @@ from .fields import (
     xi_values,
 )
 from .operators import derivative_x, derivative_y, velocity_from_vorticity
-from .propagators import pair_step_matrix
+from .propagators import apply_pair, pair_step_matrix
 from .transforms import quadrature_l1, to_physical, to_spectral
+
+
+#: fraction of the advective bound min(dx/|u1|, dy/|u2|) a step may take
+CFL_SAFETY = 0.8
+
+#: 2/3 rule: the kept share of each direction's modes after a product
+DEALIAS_FRACTION = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping parameters."""
+    """The Strang step dt; the scheme, CFL_SAFETY and DEALIAS_FRACTION are
+    constants of the method."""
 
     dt: float
-    cfl_safety: float = 0.8
-    dealias_fraction: float = 2.0 / 3.0
-    scheme: str = "strang-rk2"
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must be in (0, 1]")
-        if not 0 < self.dealias_fraction <= 1:
-            raise ValueError("dealias_fraction must be in (0, 1]")
-        # one scheme; the field stays so documents that name it still parse
-        if self.scheme != "strang-rk2":
-            raise ValueError("scheme must be 'strang-rk2'")
 
 
 @dataclass
@@ -80,16 +79,17 @@ class TrajectoryResult:
 
 
 @lru_cache(maxsize=16)
-def dealias_mask(grid: StripGrid, fraction: float):
+def dealias_mask(grid: StripGrid):
     """Boolean keep-mask on the Odd lattice: |j| <= f nx/2 and k <= f ny."""
+    f = DEALIAS_FRACTION
     j = np.abs(xi_index(grid))[:, None]
     k = np.arange(1, grid.ny + 1)[None, :]
-    mask = (j <= fraction * grid.nx / 2.0) & (k <= fraction * grid.ny)
+    mask = (j <= f * grid.nx / 2.0) & (k <= f * grid.ny)
     mask.setflags(write=False)
     return mask
 
 
-def nonlinear_term(state: FlowState, dealias_fraction=2.0 / 3.0):
+def nonlinear_term(state: FlowState):
     """Transport terms (u.grad omega, u.grad theta), dealiased, Odd parity.
 
     Factors are moved to the shared collocation nodes, multiplied
@@ -106,7 +106,7 @@ def nonlinear_term(state: FlowState, dealias_fraction=2.0 / 3.0):
     u1_g = to_physical(u1).values
     u2_g = to_physical(u2).values
 
-    mask = dealias_mask(grid, dealias_fraction)
+    mask = dealias_mask(grid)
     out = []
     for f in (state.omega, state.theta):
         fx_g = to_physical(derivative_x(f)).values
@@ -119,7 +119,7 @@ def nonlinear_term(state: FlowState, dealias_fraction=2.0 / 3.0):
 
 
 def admissible_dt(state: FlowState, cfg: StepperConfig) -> float:
-    """Advective stability bound cfl_safety * min over directions of dx/|u|."""
+    """Advective stability bound CFL_SAFETY * min over directions of dx/|u|."""
     grid = state.grid
     u1, u2 = velocity_from_vorticity(state.omega)
     m1 = float(np.abs(to_physical(u1).values).max())
@@ -129,7 +129,7 @@ def admissible_dt(state: FlowState, cfg: StepperConfig) -> float:
         bound = grid.dx / m1
     if m2 > 0:
         bound = min(bound, grid.dy / m2)
-    return cfg.cfl_safety * bound
+    return CFL_SAFETY * bound
 
 
 def _check_finite(state):
@@ -142,13 +142,13 @@ def _check_finite(state):
             raise NumericalBlowup(name, (j, k), state.t)
 
 
-def _transport_rhs(grid, w_coeff, th_coeff, fraction):
+def _transport_rhs(grid, w_coeff, th_coeff):
     state = FlowState(
         0.0,
         SpectralField(grid, Parity.ODD, w_coeff),
         SpectralField(grid, Parity.ODD, th_coeff),
     )
-    n_w, n_th = nonlinear_term(state, fraction)
+    n_w, n_th = nonlinear_term(state)
     return -n_w.coeff, -n_th.coeff
 
 
@@ -165,20 +165,17 @@ def step(state: FlowState, cfg: StepperConfig) -> FlowState:
         raise CflViolation(cfg.dt, dt_adm)
 
     grid = state.grid
-    m11, m12, m21, m22 = pair_step_matrix(grid, 0.5 * cfg.dt)
+    m = pair_step_matrix(grid, 0.5 * cfg.dt)
 
-    w = m11 * state.omega.coeff + m12 * state.theta.coeff
-    th = m21 * state.omega.coeff + m22 * state.theta.coeff
+    w, th = apply_pair(m, state.omega.coeff, state.theta.coeff)
 
-    f = cfg.dealias_fraction
     dt = cfg.dt
-    kw1, kt1 = _transport_rhs(grid, w, th, f)
-    kw2, kt2 = _transport_rhs(grid, w + 0.5 * dt * kw1, th + 0.5 * dt * kt1, f)
+    kw1, kt1 = _transport_rhs(grid, w, th)
+    kw2, kt2 = _transport_rhs(grid, w + 0.5 * dt * kw1, th + 0.5 * dt * kt1)
     w = w + dt * kw2
     th = th + dt * kt2
 
-    w_new = m11 * w + m12 * th
-    th_new = m21 * w + m22 * th
+    w_new, th_new = apply_pair(m, w, th)
     out = FlowState(
         state.t + dt,
         SpectralField(grid, Parity.ODD, w_new),

@@ -143,28 +143,26 @@ def to_spectral(f: PhysicalField) -> SpectralField:
     return SpectralField(grid, f.parity, coeff)
 
 
-def pad_modes(f: SpectralField, factor: int = 2) -> SpectralField:
-    """Embed coefficients in a grid refined by ``factor`` in both directions.
+def pad_modes(f: SpectralField) -> SpectralField:
+    """Embed coefficients in a grid refined twice in both directions.
 
     The frequency lattice of the fine grid is a superset of the coarse one
     (same Lx), so the embedded field represents the same function; used for
     sup-norm evaluation on a refined collocation grid.
     """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
     grid = f.grid
-    fine = StripGrid(grid.half_width_lx, factor * grid.nx, factor * grid.ny, grid.nu)
+    fine = StripGrid(grid.half_width_lx, 2 * grid.nx, 2 * grid.ny, grid.nu)
     out = SpectralField.zeros(fine, f.parity)
     half = grid.nx // 2
     kcount = f.coeff.shape[1]
     out.coeff[:half, :kcount] = f.coeff[:half]
-    out.coeff[factor * grid.nx - half :, :kcount] = f.coeff[half:]
+    out.coeff[2 * grid.nx - half :, :kcount] = f.coeff[half:]
     return out
 
 
-def physical_max(f: SpectralField, refine: int = 2) -> float:
-    """Max of |f| sampled on a ``refine``-times finer collocation grid."""
-    return float(np.abs(to_physical(pad_modes(f, refine)).values).max())
+def physical_max(f: SpectralField) -> float:
+    """Max of |f| sampled on the twice finer collocation grid of pad_modes."""
+    return float(np.abs(to_physical(pad_modes(f)).values).max())
 
 
 def quadrature_l2(f: PhysicalField) -> float:

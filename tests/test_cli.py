@@ -143,6 +143,20 @@ class TestDeterminism:
         for name in csvs:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_nonlinear_trajectory_bit_identical(self, tmp_path):
+        args = ["nonlinear-decay", "--seed", "5", "--set", "grid.nx=64",
+                "--set", "grid.ny=8", "--set", "times.t_min=1",
+                "--set", "times.t_max=10"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(args + ["--output-dir", str(out1)]) == 0
+        assert run_cli(args + ["--output-dir", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert sum(n.startswith("snapshot_") for n in names) == 2
+        assert "ladder_norms.csv" in names
+        assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_oracle_suite_writes_passing_summary(self, tmp_path):
         out = tmp_path / "oracle"
         code = run_cli(["oracle-suite", "--seed", "3",

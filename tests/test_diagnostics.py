@@ -120,6 +120,19 @@ class TestFitRate:
         fit = fit_rate(DecayCurve(ts, scale * ts**expo, "p"), (3.0, 320.0))
         assert fit.exponent == pytest.approx(expo, abs=1e-9)
 
+    def test_slope_matches_pairwise_reference(self):
+        """The O(n) slope equals the pairwise log-ratio sum to rounding."""
+        rng = np.random.default_rng(11)
+        for n in (8, 20, 40, 97):
+            ts = np.logspace(0, rng.uniform(1.0, 4.0), n)
+            vals = ts ** rng.uniform(-2.0, -0.1) * np.exp(0.1 * rng.standard_normal(n))
+            x = np.log(ts)
+            num = sum(float(np.sum((x[i + 1:] - x[i]) * np.log(vals[i + 1:] / vals[i])))
+                      for i in range(n - 1))
+            den = sum(float(np.sum((x[i + 1:] - x[i]) ** 2)) for i in range(n - 1))
+            fit = fit_rate(DecayCurve(ts, vals, "v"), (ts[0], ts[-1]))
+            assert fit.exponent == pytest.approx(num / den, rel=1e-13)
+
     def test_too_few_samples_in_window(self):
         ts = np.logspace(0, 3, 30)
         curve = DecayCurve(ts, ts**-1.0, "p")
@@ -313,6 +326,33 @@ class TestTheoremSuite:
         for (curve, _, _), (_, which, nid, _) in zip(results, THEOREM_LADDER):
             want = [norm(getattr(s, which), nid) for s in traj]
             assert np.array_equal(curve.values, want)
+
+    @pytest.mark.parametrize("window", [None, (1.0, 12.5)], ids=["default", "given"])
+    def test_generator_input_equals_list_input(self, medium_grid, rng, window):
+        omega0 = random_field(medium_grid, Parity.ODD, rng, kmax=2, jmax=4)
+        theta0 = random_field(medium_grid, Parity.ODD, rng, kmax=2, jmax=4)
+        ts = np.concatenate([[0.0], np.logspace(0, 1.1, 12)])
+        listed = theorem_suite([propagate_linear_pair(omega0, theta0, t) for t in ts],
+                               window=window)
+        streamed = theorem_suite((propagate_linear_pair(omega0, theta0, t) for t in ts),
+                                 window=window)
+        for (c1, f1, e1), (c2, f2, e2) in zip(listed, streamed, strict=True):
+            assert c1.label == c2.label and e1 == e2
+            assert np.array_equal(c1.times, c2.times)
+            assert np.array_equal(c1.values, c2.values)
+            assert f1 == f2
+
+    def test_default_window_below_a_decade_is_refused(self):
+        traj = row_snapshots(TALL_GRID, [1], np.logspace(0, 0.5, 12))
+        with pytest.raises(WindowTooShort):
+            theorem_suite(traj)
+
+    def test_given_window_is_checked_before_any_snapshot_is_read(self):
+        def snapshots():
+            raise AssertionError("a snapshot was read")
+            yield
+        with pytest.raises(WindowTooShort):
+            theorem_suite(snapshots(), window=(1.0, 2.0))
 
     def test_default_window_needs_a_positive_time(self, small_grid):
         zero = SpectralField.zeros(small_grid, Parity.ODD)

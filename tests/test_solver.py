@@ -87,8 +87,15 @@ class TestNonlinearTerm:
                 if abs(j) <= coarse.nx // 3 and (col + 1) <= 2 * coarse.ny // 3:
                     assert abs(c - f) < 1e-10 * scale
         # coarse modes outside the dealias band are zeroed
-        mask = dealias_mask(coarse, 2.0 / 3.0)
+        mask = dealias_mask(coarse)
         assert np.all(n_w_coarse.coeff[~mask] == 0.0)
+
+    @pytest.mark.parametrize("nx, ny", [(12, 6), (64, 8), (96, 33)])
+    def test_dealias_mask_is_the_two_thirds_rule(self, nx, ny):
+        grid = StripGrid(half_width_lx=10.0, nx=nx, ny=ny, nu=1.0)
+        j = np.abs(xi_index(grid))[:, None]
+        k = np.arange(1, ny + 1)[None, :]
+        assert np.array_equal(dealias_mask(grid), (3 * j <= nx) & (3 * k <= 2 * ny))
 
     def test_matches_direct_quadrature_oracle(self, small_grid, rng):
         """u.grad omega and u.grad theta built from explicit sums.
@@ -154,6 +161,15 @@ class TestStep:
         assert err.value.admissible_dt == pytest.approx(admissible_dt(state, cfg))
         # the carried value is itself admissible
         step(state, StepperConfig(dt=0.9 * err.value.admissible_dt))
+
+    def test_admissible_dt_is_the_safety_factor_times_the_advective_bound(
+            self, medium_grid, rng):
+        state = band_limited_state(medium_grid, rng, amplitude=50.0)
+        u1, u2 = velocity_from_vorticity(state.omega)
+        bound = min(medium_grid.dx / np.abs(to_physical(u1).values).max(),
+                    medium_grid.dy / np.abs(to_physical(u2).values).max())
+        assert admissible_dt(state, StepperConfig(dt=1.0)) == pytest.approx(
+            0.8 * bound, rel=1e-15)
 
     def test_hermitian_symmetry_preserved(self, medium_grid, rng):
         from stripflow.fields import is_hermitian

@@ -187,7 +187,7 @@ class TestRefinedEvaluation:
     def test_pad_modes_preserves_samples(self, small_grid, rng):
         f = random_field(small_grid, Parity.ODD, rng)
         coarse = to_physical(f).values
-        fine = to_physical(pad_modes(f, 2)).values
+        fine = to_physical(pad_modes(f)).values
         # refined grid contains the coarse nodes at even indices
         assert np.abs(fine[::2, ::2] - coarse).max() < 1e-12 * np.abs(coarse).max()
 
@@ -200,5 +200,5 @@ class TestEvenParityRefinement:
     def test_even_pad_modes_preserves_samples(self, small_grid, rng):
         f = random_field(small_grid, Parity.EVEN, rng)
         coarse = to_physical(f).values
-        fine = to_physical(pad_modes(f, 2)).values
+        fine = to_physical(pad_modes(f)).values
         assert np.abs(fine[::2, ::2] - coarse).max() < 1e-12 * np.abs(coarse).max()
