@@ -387,6 +387,7 @@ def theorem_suite(traj, window=None):
 
     Raises:
         ValueError: no window given and no snapshot at t > 0.
+        GridMismatchError: snapshots on different grids.
         WindowTooShort: the window spans less than a decade in t; a given
             window is checked before any snapshot is read.
     """
@@ -400,6 +401,8 @@ def theorem_suite(traj, window=None):
             grid = s.grid
             weights = [_lattice_weight(grid, Parity.ODD, nid)
                        for _, _, nid, _ in THEOREM_LADDER]
+        elif s.grid != grid:
+            raise GridMismatchError("snapshots on different grids")
         times.append(s.t)
         # one span and one |coeff| per field and snapshot, shared by the rows
         moduli = {"omega": _occupied_modulus(s.omega.coeff),

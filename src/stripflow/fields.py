@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,6 +267,42 @@ def require_parity(f, parity, what):
         raise ParityError(f"{what} requires {parity.value} parity, got {f.parity.value}")
 
 
+def require_lattice(out, grid, parity, what):
+    """Raise unless the field ``out`` lives on ``grid`` with ``parity``."""
+    if out.grid != grid:
+        raise GridMismatchError(f"{what}: out lives on a different grid")
+    require_parity(out, parity, what)
+
+
+#: grids whose scratch each thread keeps; the least recently used goes first
+SCRATCH_GRIDS = 4
+
+_scratch = threading.local()
+
+
+def scratch(grid, name, make):
+    """The object ``make()`` built for (grid, name) on this thread.
+
+    Buffers that a hot path reuses from call to call instead of allocating:
+    each thread keeps its own, for its SCRATCH_GRIDS most recently used
+    grids, so two threads never share one.  A name is held only for the
+    duration of one call; callers that nest use distinct names.
+    """
+    grids = getattr(_scratch, "grids", None)
+    if grids is None:
+        grids = _scratch.grids = {}
+    entries = grids.pop(grid, None)
+    if entries is None:
+        entries = {}
+        if len(grids) >= SCRATCH_GRIDS:
+            del grids[next(iter(grids))]
+    grids[grid] = entries
+    obj = entries.get(name)
+    if obj is None:
+        obj = entries[name] = make()
+    return obj
+
+
 def hermitian_project(grid, coeff):
     """Project a coefficient array onto the Hermitian (real-field) subspace.
 
@@ -282,7 +319,7 @@ def hermitian_project(grid, coeff):
     return out
 
 
-def is_hermitian(grid, coeff):
+def is_hermitian(coeff):
     """coeff[-j] equals conj(coeff[j]) to 1e-12 of the largest |coeff|."""
     rev = np.empty_like(coeff)
     rev[0] = coeff[0]

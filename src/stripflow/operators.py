@@ -10,34 +10,48 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .fields import (
     Parity,
     SpectralField,
     laplace_symbol,
+    require_lattice,
     require_parity,
     xi_values,
     y_wavenumbers,
 )
 
 
-def derivative_x(f: SpectralField) -> SpectralField:
-    """Horizontal derivative: multiply by i xi_j. Parity unchanged."""
-    xi = xi_values(f.grid)
-    return SpectralField(f.grid, f.parity, f.coeff * (1j * xi[:, None]))
+def derivative_x(f: SpectralField, out: SpectralField | None = None) -> SpectralField:
+    """Horizontal derivative: multiply by i xi_j. Parity unchanged.
+
+    ``out``, a field of f's grid and parity (f itself allowed), receives
+    the result and is returned; by default a new field does.
+    """
+    out = SpectralField.zeros(f.grid, f.parity) if out is None else out
+    require_lattice(out, f.grid, f.parity, "derivative_x")
+    np.multiply(f.coeff, _derivative_symbols(f.grid)[0], out=out.coeff)
+    return out
 
 
-def derivative_y(f: SpectralField) -> SpectralField:
-    """Vertical derivative; Odd -> Even with +k pi, Even -> Odd with -k pi."""
+def derivative_y(f: SpectralField, out: SpectralField | None = None) -> SpectralField:
+    """Vertical derivative; Odd -> Even with +k pi, Even -> Odd with -k pi.
+
+    ``out``, a field of f's grid and the flipped parity, receives the
+    result and is returned; by default a new field does.
+    """
     grid = f.grid
-    out = SpectralField.zeros(grid, f.parity.flipped())
+    out = SpectralField.zeros(grid, f.parity.flipped()) if out is None else out
+    require_lattice(out, grid, f.parity.flipped(), "derivative_y")
+    _, k_pi, minus_k_pi = _derivative_symbols(grid)
     if f.parity is Parity.ODD:
         # rows k=1..ny map onto the same k of the cosine family; cosine k=0
         # receives nothing
-        k = y_wavenumbers(grid, Parity.ODD)
-        out.coeff[:, 1:] = (math.pi * k)[None, :] * f.coeff
+        out.coeff[:, 0] = 0.0
+        np.multiply(k_pi, f.coeff, out=out.coeff[:, 1:])
     else:
-        k = y_wavenumbers(grid, Parity.ODD)
-        out.coeff[:, :] = -(math.pi * k)[None, :] * f.coeff[:, 1:]
+        np.multiply(minus_k_pi, f.coeff[:, 1:], out=out.coeff)
     return out
 
 
@@ -56,32 +70,49 @@ def poisson_inverse(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.parity, f.coeff / laplace_symbol(f.grid, Parity.ODD))
 
 
-def velocity_from_vorticity(omega: SpectralField):
+def velocity_from_vorticity(omega: SpectralField, out=None):
     """Reconstruct velocity from vorticity through the stream function.
 
     u1 = d/dy (-Laplace)^{-1} omega   (Even parity),
     u2 = -d/dx (-Laplace)^{-1} omega  (Odd parity).
+
+    ``out``, an (Even, Odd) pair of fields on omega's grid, receives
+    (u1, u2) and is returned; by default a new pair does.
 
     Returns:
         (u1, u2); divergence-free and curl(u) = omega hold exactly per mode.
     """
     require_parity(omega, Parity.ODD, "velocity_from_vorticity")
     grid = omega.grid
+    if out is None:
+        out = (SpectralField.zeros(grid, Parity.EVEN), SpectralField.zeros(grid, Parity.ODD))
+    u1, u2 = out
+    require_lattice(u1, grid, Parity.EVEN, "velocity_from_vorticity (u1)")
+    require_lattice(u2, grid, Parity.ODD, "velocity_from_vorticity (u2)")
     dy_sym, dx_sym = _velocity_symbols(grid)
-
-    u1 = SpectralField.zeros(grid, Parity.EVEN)
-    u1.coeff[:, 1:] = dy_sym * omega.coeff
-    u2 = SpectralField(grid, Parity.ODD, dx_sym * omega.coeff)
+    u1.coeff[:, 0] = 0.0
+    np.multiply(dy_sym, omega.coeff, out=u1.coeff[:, 1:])
+    np.multiply(dx_sym, omega.coeff, out=u2.coeff)
     return u1, u2
+
+
+@lru_cache(maxsize=8)
+def _derivative_symbols(grid):
+    """Multipliers i xi (d/dx) and +-k pi (d/dy of a sine or cosine row)."""
+    ixi = 1j * xi_values(grid)[:, None]
+    k_pi = (math.pi * y_wavenumbers(grid, Parity.ODD))[None, :]
+    minus_k_pi = -k_pi
+    for a in (ixi, k_pi, minus_k_pi):
+        a.setflags(write=False)
+    return ixi, k_pi, minus_k_pi
 
 
 @lru_cache(maxsize=8)
 def _velocity_symbols(grid):
     """Multipliers k pi / p (u1 rows k >= 1) and -i xi / p (u2) on the Odd lattice."""
     p = laplace_symbol(grid, Parity.ODD)
-    k = y_wavenumbers(grid, Parity.ODD)
     xi = xi_values(grid)
-    dy_sym = (math.pi * k)[None, :] / p
+    dy_sym = _derivative_symbols(grid)[1] / p
     dx_sym = -1j * xi[:, None] / p
     for a in (dy_sym, dx_sym):
         a.setflags(write=False)

@@ -197,10 +197,20 @@ def pair_exponential(xi, p, sigma, lam, nu, t):
     return m11, m12, m21, m22
 
 
-def apply_pair(m, omega, theta):
-    """exp(tA) (omega, theta) for the entries m = (m11, m12, m21, m22)."""
+def apply_pair(m, omega, theta, out=(None, None), tmp=None):
+    """exp(tA) (omega, theta) for the entries m = (m11, m12, m21, m22).
+
+    ``out``, a pair of arrays, receives the result and is returned; a
+    None entry is a new array.  ``tmp`` holds the product in flight.  No
+    given array may share memory with omega or theta.
+    """
     m11, m12, m21, m22 = m
-    return m11 * omega + m12 * theta, m21 * omega + m22 * theta
+    w = np.multiply(m11, omega, out=out[0])
+    th = np.multiply(m21, omega, out=out[1])
+    tmp = np.multiply(m12, theta, out=tmp)
+    w += tmp
+    th += np.multiply(m22, theta, out=tmp)
+    return w, th
 
 
 def pair_matrix(grid: StripGrid, t: float, rows=slice(None)):

@@ -34,6 +34,7 @@ from .fields import (
     SpectralField,
     StripGrid,
     hermitian_project,
+    scratch,
     xi_index,
     xi_values,
 )
@@ -89,41 +90,70 @@ def dealias_mask(grid: StripGrid):
     return mask
 
 
-def nonlinear_term(state: FlowState):
+def _spectral(grid, name, parity):
+    return scratch(grid, ("solver", name), lambda: SpectralField.zeros(grid, parity))
+
+
+def _physical(grid, name, parity):
+    return scratch(grid, ("solver", name),
+                   lambda: PhysicalField(grid, parity, np.zeros((grid.nx, grid.ny + 1))))
+
+
+def _velocity_nodes(omega):
+    """(u1, u2) of omega at the collocation nodes, in the thread's scratch."""
+    grid = omega.grid
+    u1, u2 = velocity_from_vorticity(
+        omega, out=(_spectral(grid, "even", Parity.EVEN), _spectral(grid, "odd", Parity.ODD)))
+    return (to_physical(u1, out=_physical(grid, "u1", Parity.EVEN)),
+            to_physical(u2, out=_physical(grid, "u2", Parity.ODD)))
+
+
+def nonlinear_term(state: FlowState, out=None):
     """Transport terms (u.grad omega, u.grad theta), dealiased, Odd parity.
 
     Factors are moved to the shared collocation nodes, multiplied
     pointwise and transformed back; the product of an Even and an Odd
     factor has an odd extension, so the outputs are sine fields with
-    exactly zero wall rows.
+    exactly zero wall rows.  Every intermediate lives in the calling
+    thread's scratch for the grid.
+
+    ``out``, a pair of Odd fields on the state's grid, receives the two
+    terms and is returned; by default a new pair does.  It may be
+    (state.omega, state.theta): each field is read in full before its
+    term is written.
 
     Raises:
         ParityError: a product failed the wall-row check in to_spectral
             (signals a parity bug upstream).
     """
     grid = state.grid
-    u1, u2 = velocity_from_vorticity(state.omega)
-    u1_g = to_physical(u1).values
-    u2_g = to_physical(u2).values
+    u1_g, u2_g = (u.values for u in _velocity_nodes(state.omega))
+    # velocity_from_vorticity's buffers are free again once u is at the nodes
+    d_odd = _spectral(grid, "odd", Parity.ODD)
+    d_even = _spectral(grid, "even", Parity.EVEN)
+    fx = _physical(grid, "fx", Parity.ODD)
+    fy = _physical(grid, "fy", Parity.EVEN)
 
     mask = dealias_mask(grid)
-    out = []
-    for f in (state.omega, state.theta):
-        fx_g = to_physical(derivative_x(f)).values
-        fy_g = to_physical(derivative_y(f)).values
-        product = PhysicalField(grid, Parity.ODD, u1_g * fx_g + u2_g * fy_g)
-        spec = to_spectral(product)
+    terms = []
+    for f, dest in zip((state.omega, state.theta), out or (None, None)):
+        fx_g = to_physical(derivative_x(f, out=d_odd), out=fx).values
+        fy_g = to_physical(derivative_y(f, out=d_even), out=fy).values
+        # the Odd product u1 fx + u2 fy, formed in fx's buffer
+        np.multiply(u1_g, fx_g, out=fx_g)
+        np.multiply(u2_g, fy_g, out=fy_g)
+        fx_g += fy_g
+        spec = to_spectral(fx, out=dest)
         spec.coeff *= mask
-        out.append(spec)
-    return out[0], out[1]
+        terms.append(spec)
+    return terms[0], terms[1]
 
 
 def admissible_dt(state: FlowState, cfg: StepperConfig) -> float:
     """Advective stability bound CFL_SAFETY * min over directions of dx/|u|."""
     grid = state.grid
-    u1, u2 = velocity_from_vorticity(state.omega)
-    m1 = float(np.abs(to_physical(u1).values).max())
-    m2 = float(np.abs(to_physical(u2).values).max())
+    m1, m2 = (float(np.abs(u.values, out=u.values).max())
+              for u in _velocity_nodes(state.omega))
     bound = math.inf
     if m1 > 0:
         bound = grid.dx / m1
@@ -142,18 +172,14 @@ def _check_finite(state):
             raise NumericalBlowup(name, (j, k), state.t)
 
 
-def _transport_rhs(grid, w_coeff, th_coeff):
-    state = FlowState(
-        0.0,
-        SpectralField(grid, Parity.ODD, w_coeff),
-        SpectralField(grid, Parity.ODD, th_coeff),
-    )
-    n_w, n_th = nonlinear_term(state)
-    return -n_w.coeff, -n_th.coeff
-
-
 def step(state: FlowState, cfg: StepperConfig) -> FlowState:
     """One Strang step: exact linear half, explicit transport, linear half.
+
+    The two fields of the returned state are the only new lattices: every
+    other buffer of the step lives in the calling thread's scratch for the
+    grid (scipy.fft still allocates each transform's output), so a
+    returned state is never written again, and trajectories interleaved on
+    one grid or run from several threads do not share memory.
 
     Raises:
         CflViolation: cfg.dt above the admissible advective step; the
@@ -165,17 +191,26 @@ def step(state: FlowState, cfg: StepperConfig) -> FlowState:
         raise CflViolation(cfg.dt, dt_adm)
 
     grid = state.grid
-    m = pair_step_matrix(grid, 0.5 * cfg.dt)
-
-    w, th = apply_pair(m, state.omega.coeff, state.theta.coeff)
-
     dt = cfg.dt
-    kw1, kt1 = _transport_rhs(grid, w, th)
-    kw2, kt2 = _transport_rhs(grid, w + 0.5 * dt * kw1, th + 0.5 * dt * kt1)
-    w = w + dt * kw2
-    th = th + dt * kt2
+    m = pair_step_matrix(grid, 0.5 * dt)
+    w, th, n_w, n_th = (_spectral(grid, name, Parity.ODD)
+                        for name in ("step.omega", "step.theta", "step.n_omega", "step.n_theta"))
+    apply_pair(m, state.omega.coeff, state.theta.coeff, out=(w.coeff, th.coeff),
+               tmp=n_w.coeff)
 
-    w_new, th_new = apply_pair(m, w, th)
+    # explicit midpoint rule for d/dt (w, th) = -N(w, th); the midpoint
+    # stage w - (dt/2) N(w) is formed in N's buffers
+    n = (n_w, n_th)
+    nonlinear_term(FlowState(state.t, w, th), out=n)
+    for f, nf in zip((w, th), n):
+        nf.coeff *= 0.5 * dt
+        np.subtract(f.coeff, nf.coeff, out=nf.coeff)
+    nonlinear_term(FlowState(state.t, n_w, n_th), out=n)
+    for f, nf in zip((w, th), n):
+        nf.coeff *= dt
+        f.coeff -= nf.coeff
+
+    w_new, th_new = apply_pair(m, w.coeff, th.coeff, tmp=n_w.coeff)
     out = FlowState(
         state.t + dt,
         SpectralField(grid, Parity.ODD, w_new),

@@ -29,6 +29,8 @@ from .fields import (
     PhysicalField,
     SpectralField,
     StripGrid,
+    require_lattice,
+    scratch,
 )
 
 #: Odd-parity physical input whose wall rows exceed this (relative to the
@@ -74,73 +76,97 @@ def _half_spectrum_factors(grid: StripGrid, parity: Parity):
     return synthesis, analysis
 
 
-def to_physical(f: SpectralField) -> PhysicalField:
+def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalField:
     """Evaluate the double series at the collocation nodes.
 
     Returns the real part of the full complex double sum, also for
     coefficients without Hermitian symmetry.  The x-Nyquist column is
     dropped on synthesis (forced-zero convention) and Odd wall rows come
-    out exactly zero.
+    out exactly zero.  ``out``, a field of f's grid and parity, receives
+    the values and is returned; by default a new field does.
     """
     grid = f.grid
     ny, half = grid.ny, grid.nx // 2
+    if out is None:
+        out = PhysicalField(grid, f.parity, np.empty((grid.nx, ny + 1)))
+    require_lattice(out, grid, f.parity, "to_physical")
     factor = _half_spectrum_factors(grid, f.parity)[0]
     nk = factor.shape[1]
     if nk == 0:
-        return PhysicalField(grid, f.parity, np.zeros((grid.nx, ny + 1)))
+        out.values[...] = 0.0
+        return out
 
     # Re sum_j c_j e^{i j x} only sees c[j] + conj(c[-j]) for j >= 0
     c = f.coeff[:, :nk]
-    folded = np.zeros((half + 1, nk), dtype=np.complex128)
+    folded = scratch(grid, ("to_physical", f.parity),
+                     lambda: np.zeros((half + 1, nk), dtype=np.complex128))
     folded[0] = 2.0 * c[0].real
     np.conjugate(c[:half:-1], out=folded[1:half])
     folded[1:half] += c[1:half]
+    folded[half] = 0.0
     folded *= factor
     cols = irfft(folded, n=grid.nx, axis=0)
 
     if f.parity is Parity.EVEN:
-        return PhysicalField(grid, f.parity, dct(cols, type=1, axis=1, overwrite_x=True))
-    values = np.zeros((grid.nx, ny + 1))
-    values[:, 1:ny] = dst(cols, type=1, axis=1, overwrite_x=True)
-    return PhysicalField(grid, f.parity, values)
+        out.values[...] = dct(cols, type=1, axis=1, overwrite_x=True)
+    else:
+        out.values[:, 1:ny] = dst(cols, type=1, axis=1, overwrite_x=True)
+        out.values[:, 0] = out.values[:, ny] = 0.0
+    return out
 
 
-def to_spectral(f: PhysicalField) -> SpectralField:
+def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralField:
     """Inverse of to_physical on the band-limited space.
+
+    ``out``, a field of f's grid and parity, receives the coefficients and
+    is returned; by default a new field does.
 
     Raises:
         ParityError: Odd input with wall rows that are not (numerically) zero.
     """
     grid = f.grid
     ny, half = grid.ny, grid.nx // 2
+    v = f.values
     if f.parity is Parity.ODD:
-        scale = max(1.0, float(np.abs(f.values).max()))
-        worst = max(float(np.abs(f.values[:, 0]).max()), float(np.abs(f.values[:, ny]).max()))
+        scale = max(1.0, float(v.max()), -float(v.min()))
+        worst = max(float(np.abs(v[:, 0]).max()), float(np.abs(v[:, ny]).max()))
         if worst > BOUNDARY_TOL * scale:
             raise ParityError(
                 f"odd-parity input has nonzero wall rows (max {worst:.3e}, "
                 f"field scale {scale:.3e})"
             )
 
-    coeff = np.zeros(grid.coeff_shape(f.parity), dtype=np.complex128)
+    if out is None:
+        out = SpectralField(grid, f.parity, np.empty(grid.coeff_shape(f.parity),
+                                                     dtype=np.complex128))
+    require_lattice(out, grid, f.parity, "to_spectral")
+    coeff = out.coeff
     factor = _half_spectrum_factors(grid, f.parity)[1]
     nk = factor.shape[1]
     if nk == 0:
-        return SpectralField(grid, f.parity, coeff)
+        coeff[...] = 0.0
+        return out
 
+    # the y-transform runs in place on a copy; Odd wall rows are zero to
+    # BOUNDARY_TOL and carry no sine content
+    rows = scratch(grid, ("to_spectral", f.parity), lambda: np.empty((grid.nx, nk)))
     if f.parity is Parity.ODD:
-        # wall rows are zero to BOUNDARY_TOL and carry no sine content
-        rows = dst(f.values[:, 1:ny], type=1, axis=1)
+        rows[...] = v[:, 1:ny]
+        rows = dst(rows, type=1, axis=1, overwrite_x=True)
     else:
-        rows = dct(f.values, type=1, axis=1)
+        rows[...] = v
+        rows = dct(rows, type=1, axis=1, overwrite_x=True)
     spec = rfft(rows, axis=0)
     spec *= factor
 
-    # real input: the negative-j half is the conjugate mirror; the k=ny
-    # sine row is invisible on this grid and left zero
+    # real input: the negative-j half is the conjugate mirror; the
+    # x-Nyquist column and the k=ny sine row are invisible on this grid
+    # and left zero
     coeff[:half, :nk] = spec[:half]
-    coeff[half + 1 :, :nk] = np.conj(spec[half - 1 : 0 : -1])
-    return SpectralField(grid, f.parity, coeff)
+    coeff[half] = 0.0
+    np.conjugate(spec[half - 1 : 0 : -1], out=coeff[half + 1 :, :nk])
+    coeff[:, nk:] = 0.0
+    return out
 
 
 def pad_modes(f: SpectralField) -> SpectralField:

@@ -354,6 +354,17 @@ class TestTheoremSuite:
         with pytest.raises(WindowTooShort):
             theorem_suite(snapshots(), window=(1.0, 2.0))
 
+    def test_snapshots_on_different_grids_are_refused(self, rng):
+        """Same lattice shape, different Lx: weights and dxi would be wrong."""
+        grids = [StripGrid(half_width_lx=lx, nx=64, ny=8, nu=1.0)
+                 for lx in (20.0 * math.pi, 40.0 * math.pi)]
+        ts = np.logspace(0, 1.1, 12)
+        traj = [FlowState(t, random_field(grids[i % 2], Parity.ODD, rng),
+                          random_field(grids[i % 2], Parity.ODD, rng))
+                for i, t in enumerate(ts)]
+        with pytest.raises(GridMismatchError, match="different grids"):
+            theorem_suite(traj, window=(1.0, 12.5))
+
     def test_default_window_needs_a_positive_time(self, small_grid):
         zero = SpectralField.zeros(small_grid, Parity.ODD)
         traj = [FlowState(0.0, zero, zero)]

@@ -142,6 +142,45 @@ class TestVelocityFromVorticity:
         assert np.all(u1.coeff[:, 0] == 0.0)
 
 
+class TestOutArgument:
+    """A caller's field receives exactly what the allocating form returns."""
+
+    @staticmethod
+    def junk(grid, parity):
+        return SpectralField(grid, parity, np.full(grid.coeff_shape(parity), np.nan + 0j))
+
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+    def test_derivatives(self, medium_grid, rng, parity):
+        f = random_field(medium_grid, parity, rng)
+        out = self.junk(medium_grid, parity)
+        assert derivative_x(f, out=out) is out
+        assert out.coeff.tobytes() == derivative_x(f).coeff.tobytes()
+        out = self.junk(medium_grid, parity.flipped())
+        assert derivative_y(f, out=out) is out
+        assert out.coeff.tobytes() == derivative_y(f).coeff.tobytes()
+
+    def test_derivative_x_in_place(self, medium_grid, rng):
+        f = random_field(medium_grid, Parity.ODD, rng)
+        want = derivative_x(f).coeff.tobytes()
+        assert derivative_x(f, out=f).coeff.tobytes() == want
+
+    def test_velocity(self, medium_grid, rng):
+        omega = random_field(medium_grid, Parity.ODD, rng)
+        out = (self.junk(medium_grid, Parity.EVEN), self.junk(medium_grid, Parity.ODD))
+        u1, u2 = velocity_from_vorticity(omega, out=out)
+        assert u1 is out[0] and u2 is out[1]
+        v1, v2 = velocity_from_vorticity(omega)
+        assert u1.coeff.tobytes() == v1.coeff.tobytes()
+        assert u2.coeff.tobytes() == v2.coeff.tobytes()
+
+    def test_out_of_the_wrong_parity_is_refused(self, medium_grid, rng):
+        f = random_field(medium_grid, Parity.ODD, rng)
+        with pytest.raises(ParityError):
+            derivative_y(f, out=SpectralField.zeros(medium_grid, Parity.ODD))
+        with pytest.raises(ParityError):
+            velocity_from_vorticity(f, out=(SpectralField.zeros(medium_grid, Parity.ODD),) * 2)
+
+
 class TestNyquistHandling:
     def test_nyquist_column_dropped_on_synthesis(self, small_grid):
         f = SpectralField.zeros(small_grid, Parity.ODD)

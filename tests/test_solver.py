@@ -1,6 +1,9 @@
 """Nonlinear solver: transport terms, stepping, trajectories, initial data."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from stripflow.fields import (
 )
 from stripflow.diagnostics import l2_inner
 from stripflow.operators import derivative_x, derivative_y, velocity_from_vorticity
-from stripflow.propagators import propagate_linear_pair
+from stripflow.propagators import apply_pair, pair_step_matrix, propagate_linear_pair
 from stripflow.solver import (
     StepperConfig,
     admissible_dt,
@@ -178,8 +181,8 @@ class TestStep:
         cfg = StepperConfig(dt=0.05)
         for _ in range(5):
             state = step(state, cfg)
-        assert is_hermitian(medium_grid, state.omega.coeff)
-        assert is_hermitian(medium_grid, state.theta.coeff)
+        assert is_hermitian(state.omega.coeff)
+        assert is_hermitian(state.theta.coeff)
 
     def test_walls_stay_zero_after_steps(self, medium_grid, rng):
         state = band_limited_state(medium_grid, rng, amplitude=1e-2)
@@ -238,6 +241,120 @@ class TestStep:
 
         ratio = gap(1e-4) / gap(5e-5)
         assert ratio == pytest.approx(4.0, abs=0.5)
+
+
+def reference_step(state, dt):
+    """The Strang step in its plain allocating form, term by term."""
+    grid = state.grid
+    m = pair_step_matrix(grid, 0.5 * dt)
+
+    def transport(w, th):
+        n_w, n_th = nonlinear_term(FlowState(0.0, SpectralField(grid, Parity.ODD, w),
+                                             SpectralField(grid, Parity.ODD, th)))
+        return -n_w.coeff, -n_th.coeff
+
+    w, th = apply_pair(m, state.omega.coeff, state.theta.coeff)
+    kw1, kt1 = transport(w, th)
+    kw2, kt2 = transport(w + 0.5 * dt * kw1, th + 0.5 * dt * kt1)
+    w, th = apply_pair(m, w + dt * kw2, th + dt * kt2)
+    return FlowState(state.t + dt, SpectralField(grid, Parity.ODD, w),
+                     SpectralField(grid, Parity.ODD, th))
+
+
+def state_bytes(state):
+    return state.t, state.omega.coeff.tobytes(), state.theta.coeff.tobytes()
+
+
+def trajectory(state, cfg, n):
+    out = []
+    for _ in range(n):
+        state = step(state, cfg)
+        out.append(state_bytes(state))
+    return out
+
+
+class TestStepScratch:
+    """step reuses per-grid, per-thread buffers; results must not notice."""
+
+    CFG = StepperConfig(dt=0.02)
+
+    def test_matches_the_allocating_reference_bit_for_bit(self, medium_grid, rng):
+        state0 = band_limited_state(medium_grid, rng, amplitude=2.0)
+        state = ref = state0
+        for _ in range(20):
+            state = step(state, self.CFG)
+            ref = reference_step(ref, self.CFG.dt)
+            assert state_bytes(state) == state_bytes(ref)
+        # transport moved the state well away from the linear evolution
+        linear = propagate_linear_pair(state0.omega, state0.theta, state.t)
+        gap = np.abs(state.omega.coeff - linear.omega.coeff).max()
+        assert gap > 1e-4 * np.abs(linear.omega.coeff).max()
+
+    def test_returned_state_is_not_reused(self, medium_grid, rng):
+        state0 = band_limited_state(medium_grid, rng, amplitude=0.5)
+        before0 = state_bytes(state0)
+        state1 = step(state0, self.CFG)
+        before1 = state_bytes(state1)
+        state = state1
+        for _ in range(5):
+            state = step(state, self.CFG)
+        nonlinear_term(state)
+        assert state_bytes(state0) == before0
+        assert state_bytes(state1) == before1
+
+    def test_interleaved_trajectories_match_solo_runs(self, medium_grid, rng):
+        other = StripGrid(half_width_lx=40.0 * math.pi, nx=64, ny=8, nu=1.0)
+        starts = [band_limited_state(medium_grid, rng, amplitude=0.5),
+                  band_limited_state(medium_grid, rng, amplitude=0.3),
+                  band_limited_state(other, rng, amplitude=0.5)]
+        solo = [trajectory(s, self.CFG, 8) for s in starts]
+        states = list(starts)
+        mixed = [[] for _ in starts]
+        for _ in range(8):
+            for i, s in enumerate(states):
+                states[i] = step(s, self.CFG)
+                mixed[i].append(state_bytes(states[i]))
+        assert mixed == solo
+
+    def test_threads_on_one_grid_match_the_serial_result(self, medium_grid, rng):
+        starts = [band_limited_state(medium_grid, rng, amplitude=0.5) for _ in range(2)]
+        serial = [trajectory(s, self.CFG, 100) for s in starts]
+        results = [None, None]
+
+        def work(i):
+            results[i] = trajectory(starts[i], self.CFG, 100)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside a step, not between
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial
+
+    @pytest.mark.parametrize("nx, ny", [(64, 8), (1024, 32)])
+    def test_a_warmed_step_allocates_little_beyond_its_result(self, nx, ny):
+        """Traced-memory peak of one step: the returned state is 2 lattices."""
+        grid = StripGrid(half_width_lx=200.0 * math.pi, nx=nx, ny=ny, nu=1.0)
+        profile = InitialProfile(theta=(ProfileComponent(k=1, amplitude=1e-4),))
+        state, _ = make_initial_data(profile, grid)
+        cfg = StepperConfig(dt=0.5)
+        for _ in range(2):
+            state = step(state, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state = step(state, cfg)
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth <= 3 * nx * ny * 16
 
 
 class TestRunTrajectory:

@@ -164,6 +164,30 @@ class TestToSpectral:
         assert err < 1e-12
 
 
+class TestOutArgument:
+    """A caller's field receives exactly what the allocating form returns."""
+
+    @pytest.mark.parametrize("ny", [1, 8])
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+    def test_out_is_filled_whatever_it_held(self, rng, ny, parity):
+        grid = StripGrid(half_width_lx=20.0 * math.pi, nx=64, ny=ny, nu=1.0)
+        f = random_field(grid, parity, rng)
+        phys = PhysicalField(grid, parity, np.full((grid.nx, ny + 1), np.nan))
+        assert to_physical(f, out=phys) is phys
+        assert phys.values.tobytes() == to_physical(f).values.tobytes()
+        spec = SpectralField(grid, parity, np.full(grid.coeff_shape(parity), np.nan))
+        assert to_spectral(phys, out=spec) is spec
+        assert spec.coeff.tobytes() == to_spectral(phys).coeff.tobytes()
+
+    def test_out_of_the_other_parity_is_refused(self, small_grid, rng):
+        f = random_field(small_grid, Parity.ODD, rng)
+        even = PhysicalField(small_grid, Parity.EVEN, np.zeros((16, 5)))
+        with pytest.raises(ParityError):
+            to_physical(f, out=even)
+        with pytest.raises(ParityError):
+            to_spectral(to_physical(f), out=SpectralField.zeros(small_grid, Parity.EVEN))
+
+
 class TestParseval:
     @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
     def test_parseval_identity(self, medium_grid, rng, parity):
