@@ -33,6 +33,7 @@ from .diagnostics import DecayCurve, energy_report, fit_rate, theorem_suite
 from .errors import ConfigError, StripflowError
 from .oracles import pair_reference, relative_gap
 from .propagators import (
+    apply_pair,
     classify_region,
     pair_exponential,
     propagate_linear_pair,
@@ -296,23 +297,25 @@ def _run_oracle_suite(cfg, out_dir):
     nus = (0.01, star, 1.0)
     eval_times = np.array([0.1, 1.0, 10.0, 100.0])
 
-    rows = []
-    worst = 0.0
+    modes = []
     for _ in range(cfg.oracle_modes):
         xi = rng.uniform(-50.0, 50.0)
         k = int(rng.integers(1, 33))
         nu = nus[rng.integers(0, 3)]
         y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        scale0 = float(np.linalg.norm(y0))
-        ref = pair_reference(xi, k, nu, y0, eval_times)
-        xi_arr = np.array([xi])
-        p, sigma, lam_p, lam_m = sigma_lambda(xi_arr, k, nu)
-        for i, t in enumerate(eval_times):
-            m11, m12, m21, m22 = pair_exponential(xi_arr, p, sigma, (lam_p, lam_m), nu, t)
-            m = np.array([[m11[0], m12[0]], [m21[0], m22[0]]])
-            gap = relative_gap(m @ y0, ref[i], scale0)
-            worst = max(worst, gap)
-            rows.append((xi, k, nu, t, gap))
+        modes.append((xi, k, nu, y0, pair_reference(xi, k, nu, y0, eval_times)))
+    xi, k, nu, y0, ref = (np.array(column) for column in zip(*modes))
+
+    p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
+    closed = np.empty_like(ref)
+    for i, t in enumerate(eval_times):
+        m = pair_exponential(xi, p, sigma, (lam_p, lam_m), nu, t)
+        closed[:, i, 0], closed[:, i, 1] = apply_pair(m, y0[:, 0], y0[:, 1])
+    scale0 = np.linalg.norm(y0, axis=-1)
+    gaps = relative_gap(closed, ref, scale0[:, None])
+    worst = float(gaps.max())
+    rows = ((x, kk, v, t, g) for x, kk, v, row in zip(xi, k, nu, gaps)
+            for t, g in zip(eval_times, row))
 
     csv_path = out_dir / "oracle_errors.csv"
     _write_csv(csv_path, "xi,k,nu,t,rel_gap", rows)

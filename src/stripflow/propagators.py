@@ -178,11 +178,13 @@ def pair_exponential(xi, p, sigma, lam, nu, t):
     m11 = l1 - (nu p / 2) l2, m12 = i xi l2, m21 = (i xi / p) l2,
     m22 = l1 + (nu p / 2) l2, with p, sigma and lam = (lambda_+, lambda_-)
     from sigma_lambda.  xi runs along their leading axis, shape (n,) or
-    (n, 1).  A xi = 0 mode decouples and is set explicitly: omega decays
-    by the heat factor, theta is frozen.
+    (n, 1).  nu is a scalar or an array shaped like p.  A xi = 0 mode
+    decouples and is set explicitly: omega decays by the heat factor,
+    theta is frozen.
     """
-    l1, l2 = pair_values(nu * p, sigma, t, lam=lam)
-    damped = 0.5 * nu * p * l2
+    nu_p = nu * p
+    l1, l2 = pair_values(nu_p, sigma, t, lam=lam)
+    damped = 0.5 * nu_p * l2
     m11 = l1 - damped
     m12 = 1j * xi * l2
     m21 = (1j * xi / p) * l2
@@ -190,7 +192,7 @@ def pair_exponential(xi, p, sigma, lam, nu, t):
 
     zero = (xi == 0.0).ravel()
     if zero.any():
-        m11[zero] = np.exp(-nu * p[zero] * t)
+        m11[zero] = np.exp(-nu_p[zero] * t)
         m12[zero] = 0.0
         m21[zero] = 0.0
         m22[zero] = 1.0

@@ -176,7 +176,7 @@ class TestCriterion1LinearDecayLadder:
 
 class TestCriterion2PerModeOracle:
     def test_2_closed_form_vs_adaptive_ode(self):
-        """10^3 random modes vs stiff adaptive integration, both systems."""
+        """10^3 random modes vs adaptive integration (Adams or BDF by stiffness), both systems."""
         from stripflow.oracles import damped_wave_reference
 
         start = time.perf_counter()

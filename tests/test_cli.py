@@ -1,14 +1,28 @@
 """CLI end-to-end: exit codes, artifacts, manifest, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stripflow
 from stripflow.cli import main
 
 
 def run_cli(args):
     return main(args)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Only the oracle reference loads scipy.integrate, on first use."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stripflow.__file__).parents[1]))
+    probe = "import sys, stripflow, stripflow.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestNuStarExperiment:

@@ -187,7 +187,7 @@ class TestPropagatorPair:
 
 class TestOdeOracle:
     def test_pair_matches_adaptive_integration(self, rng):
-        """Closed form vs stiff adaptive reference on random modes."""
+        """Closed form vs the adaptive reference on random modes."""
         times = np.array([0.1, 1.0, 10.0, 100.0])
         for _ in range(40):
             xi = float(rng.uniform(-50, 50))
@@ -196,13 +196,42 @@ class TestOdeOracle:
             y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             ref = pair_reference(xi, k, nu, y0, times)
             p, sigma, lam_p, lam_m = sigma_lambda(np.array([xi]), k, nu)
+            closed = np.empty_like(ref)
             for i, t in enumerate(times):
                 l1, l2 = pair_values(nu * p, sigma, t, (lam_p, lam_m))
                 m = np.array([
                     [l1[0] - 0.5 * nu * p[0] * l2[0], 1j * xi * l2[0]],
                     [1j * xi / p[0] * l2[0], l1[0] + 0.5 * nu * p[0] * l2[0]],
                 ])
-                assert relative_gap(m @ y0, ref[i], float(np.linalg.norm(y0))) < 1e-8
+                closed[i] = m @ y0
+            scale0 = float(np.linalg.norm(y0))
+            per_row = [relative_gap(closed[i], ref[i], scale0) for i in range(len(times))]
+            stacked = relative_gap(closed, ref, scale0)
+            assert stacked.shape == (len(times),)
+            assert np.array_equal(stacked, per_row)
+            assert stacked.max() < 1e-8
+
+    # The seed-303 oracle-suite mode (weakly damped, oscillatory: BDF alone
+    # missed it by 1.1e-8 at t = 100) and a stiff mode that stays on BDF.
+    @pytest.mark.parametrize("xi, k, nu, y0", [
+        (-4.799481934481207, 1, 0.01,
+         (1.0280186085912106 + 0.2109229219160836j, 0.8910747658135635 + 0.01742453629957956j)),
+        (-48.5, 13, 1.0, (0.3 - 0.2j, 1.1 + 0.4j)),
+    ])
+    def test_pair_reference_against_matrix_expm(self, xi, k, nu, y0):
+        """The reference itself, per eval time, against a 50-digit expm."""
+        mpmath.mp.dps = 50
+        times = np.array([0.1, 1.0, 10.0, 100.0])
+        ref = pair_reference(xi, k, nu, y0, times)
+        pm = mpmath.mpf(xi) ** 2 + (mpmath.pi * k) ** 2
+        a = mpmath.matrix([[-mpmath.mpf(nu) * pm, 1j * mpmath.mpf(xi)],
+                           [1j * mpmath.mpf(xi) / pm, 0]])
+        y = mpmath.matrix([mpmath.mpc(c) for c in y0])
+        scale0 = float(np.linalg.norm(y0))
+        for i, t in enumerate(times):
+            exact = mpmath.expm(a * t) * y
+            want = [complex(exact[0]), complex(exact[1])]
+            assert relative_gap(ref[i], want, scale0) < 1e-10, t
 
     def test_damped_wave_matches_adaptive_integration(self, rng):
         times = np.array([0.1, 1.0, 10.0])
@@ -386,6 +415,19 @@ class TestPairExponential:
             inline = (np.exp(-nu * p * t), 0.0, 0.0, 1.0)
         for g, want in zip(got, inline):
             assert np.array_equal(g, np.broadcast_to(want, g.shape))
+
+    def test_array_nu_matches_one_call_per_mode(self):
+        """nu may vary per mode; the xi = 0 override indexes it like p."""
+        xi = np.array([0.0, 0.37, -4.799, 12.5, 0.0, -50.0])
+        k = np.array([1, 1, 1, 7, 3, 32])
+        nu = np.array([1.0, 0.01, 0.01, NU_STAR, 0.01, 1.0])
+        p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
+        got = pair_exponential(xi, p, sigma, (lam_p, lam_m), nu, 2.0)
+        for j in range(len(xi)):
+            one = sigma_lambda(xi[j:j + 1], k[j], nu[j])
+            want = pair_exponential(xi[j:j + 1], one[0], one[1], one[2:], nu[j], 2.0)
+            for g, w in zip(got, want):
+                assert g[j] == pytest.approx(w[0], rel=1e-14, abs=1e-300)
 
     def test_exponential_agrees_with_matrix_expm(self):
         """exp(tA) by the kernel against a 50-digit matrix exponential."""
