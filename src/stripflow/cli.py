@@ -9,7 +9,8 @@ than once, and every override is recorded in the manifest.  The document and
 the flags are handed to ``config.parse_config`` unchanged, so an error in
 the file cites the file's line and an error in a flag names the flag.
 Exit status: 0 success, 2 configuration/validation failure, 3 numerical
-failure.
+failure, 4 a failed verdict (the summary's ``pass`` is false, as
+``oracle-suite`` writes it).
 """
 
 from __future__ import annotations

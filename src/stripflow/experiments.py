@@ -45,10 +45,16 @@ from .solver import make_initial_data, run_trajectory
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+#: the run finished, and its summary's ``pass`` verdict is false
+EXIT_VERDICT = 4
 
 
 def run(cfg: ExperimentConfig, overrides=None) -> int:
-    """Execute the configured experiment; returns the process exit status."""
+    """Execute the configured experiment; returns the process exit status.
+
+    The manifest is written in every case, also when the summary's
+    ``pass`` verdict fails (EXIT_VERDICT).
+    """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[cfg.experiment]
@@ -64,7 +70,7 @@ def run(cfg: ExperimentConfig, overrides=None) -> int:
         _write_manifest(cfg, out_dir, [], {"error": error}, t0, overrides)
         return EXIT_NUMERICAL
     _write_manifest(cfg, out_dir, outputs, summary, t0, overrides)
-    return EXIT_OK
+    return EXIT_VERDICT if summary.get("pass") is False else EXIT_OK
 
 
 def _write_manifest(cfg, out_dir, outputs, summary, t0, overrides):

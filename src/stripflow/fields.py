@@ -286,7 +286,9 @@ def scratch(grid, name, make):
     Buffers that a hot path reuses from call to call instead of allocating:
     each thread keeps its own, for its SCRATCH_GRIDS most recently used
     grids, so two threads never share one.  A name is held only for the
-    duration of one call; callers that nest use distinct names.
+    duration of one call; callers that nest use distinct names.  The
+    solver's helper thread keeps its own scratch too: a lane that runs
+    there takes its buffers from it and returns none of them.
     """
     grids = getattr(_scratch, "grids", None)
     if grids is None:

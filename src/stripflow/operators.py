@@ -47,9 +47,11 @@ def derivative_y(f: SpectralField, out: SpectralField | None = None) -> Spectral
     _, k_pi, minus_k_pi = _derivative_symbols(grid)
     if f.parity is Parity.ODD:
         # rows k=1..ny map onto the same k of the cosine family; cosine k=0
-        # receives nothing
+        # receives nothing.  Scaling the whole contiguous lattice in place
+        # spares numpy a lattice-sized buffer for the strided output.
+        out.coeff[:, 1:] = f.coeff
+        np.multiply(out.coeff, k_pi, out=out.coeff)
         out.coeff[:, 0] = 0.0
-        np.multiply(k_pi, f.coeff, out=out.coeff[:, 1:])
     else:
         np.multiply(minus_k_pi, f.coeff[:, 1:], out=out.coeff)
     return out
@@ -98,10 +100,11 @@ def velocity_from_vorticity(omega: SpectralField, out=None):
 
 @lru_cache(maxsize=8)
 def _derivative_symbols(grid):
-    """Multipliers i xi (d/dx) and +-k pi (d/dy of a sine or cosine row)."""
+    """Multipliers i xi (d/dx), k pi over the cosine rows k = 0..ny (d/dy of
+    a sine row) and -k pi over the sine rows k = 1..ny (d/dy of a cosine row)."""
     ixi = 1j * xi_values(grid)[:, None]
-    k_pi = (math.pi * y_wavenumbers(grid, Parity.ODD))[None, :]
-    minus_k_pi = -k_pi
+    k_pi = (math.pi * y_wavenumbers(grid, Parity.EVEN))[None, :]
+    minus_k_pi = -k_pi[:, 1:]
     for a in (ixi, k_pi, minus_k_pi):
         a.setflags(write=False)
     return ixi, k_pi, minus_k_pi
@@ -112,7 +115,7 @@ def _velocity_symbols(grid):
     """Multipliers k pi / p (u1 rows k >= 1) and -i xi / p (u2) on the Odd lattice."""
     p = laplace_symbol(grid, Parity.ODD)
     xi = xi_values(grid)
-    dy_sym = _derivative_symbols(grid)[1] / p
+    dy_sym = _derivative_symbols(grid)[1][:, 1:] / p
     dx_sym = -1j * xi[:, None] / p
     for a in (dy_sym, dx_sym):
         a.setflags(write=False)

@@ -14,11 +14,21 @@ stiffness restriction; only the advective CFL bound limits dt.  Transport
 products are formed pointwise on the shared collocation grid and
 dealiased by the 2/3 rule in both directions.  The rule and the CFL
 safety factor are constants of the method, not settings.
+
+The two velocity components, and the omega and theta halves of the
+transport term, are independent: each pair runs as two lanes, one on the
+calling thread and one on a helper thread that every caller shares.
+numpy's ufuncs and scipy.fft release the GIL, so the lanes overlap on two
+CPUs; on one they run inline, in order.  Either way each lane does the
+same arithmetic, so results do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,13 +109,98 @@ def _physical(grid, name, parity):
                    lambda: PhysicalField(grid, parity, np.zeros((grid.nx, grid.ny + 1))))
 
 
-def _velocity_nodes(omega):
-    """(u1, u2) of omega at the collocation nodes, in the thread's scratch."""
+class _Helper:
+    """The helper thread, started on first use, and the queue of lanes it
+    runs one after another.
+
+    A lane costs one lock and one list.  A concurrent.futures Future
+    costs about 2.6 KB of heap, which on a 64x8 grid is a third of a
+    lattice: enough to take a step past the allocation bound its test
+    sets.
+    """
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._start = threading.Lock()
+        self._thread = None
+
+    def submit(self, g):
+        """Queue g.  Returns (done, box): ``done`` is a held lock, released
+        once ``box`` holds (True, g's result) or (False, g's exception)."""
+        with self._start:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, name="stripflow-lane",
+                                                daemon=True)
+                self._thread.start()
+        done = threading.Lock()
+        done.acquire()
+        box = []
+        self._tasks.put((g, box, done))
+        return done, box
+
+    def _serve(self):
+        while True:
+            g, box, done = self._tasks.get()
+            try:
+                box.append((True, g()))
+            except BaseException as exc:  # raised again on the caller's thread
+                box.append((False, exc))
+            done.release()
+
+
+def _new_helper():
+    # a forked child must not keep the parent's: its thread does not exist
+    # in the child, so queued lanes would never run
+    global _helper
+    _helper = _Helper()
+
+
+_new_helper()
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_new_helper)
+
+
+def _usable_cpus():
+    """CPUs this process may run on; all of them where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _both(f, g):
+    """(f(), g()), with g run on the helper thread while f runs here.
+
+    g's exception is raised here with its own type.  g has finished
+    whenever this returns or raises, so no helper work outlives the call.
+    With one usable CPU both run inline, in order.  Lanes of several
+    callers run one after another on the helper; a lane never calls
+    _both, so the helper never waits for itself.
+    """
+    if _usable_cpus() == 1:
+        return f(), g()
+    done, box = _helper.submit(g)
+    try:
+        a = f()
+    finally:
+        done.acquire()
+    ok, b = box[0]
+    if not ok:
+        raise b
+    return a, b
+
+
+def _velocity_nodes(omega, finish=lambda u: u):
+    """finish(u) of (u1, u2) at the collocation nodes; u2's lane is the helper's.
+
+    The nodes live in the calling thread's scratch, so the lanes that
+    follow can read them from either thread.
+    """
     grid = omega.grid
     u1, u2 = velocity_from_vorticity(
         omega, out=(_spectral(grid, "even", Parity.EVEN), _spectral(grid, "odd", Parity.ODD)))
-    return (to_physical(u1, out=_physical(grid, "u1", Parity.EVEN)),
-            to_physical(u2, out=_physical(grid, "u2", Parity.ODD)))
+    p1, p2 = _physical(grid, "u1", Parity.EVEN), _physical(grid, "u2", Parity.ODD)
+    return _both(lambda: finish(to_physical(u1, out=p1)),
+                 lambda: finish(to_physical(u2, out=p2)))
 
 
 def nonlinear_term(state: FlowState, out=None):
@@ -114,13 +209,15 @@ def nonlinear_term(state: FlowState, out=None):
     Factors are moved to the shared collocation nodes, multiplied
     pointwise and transformed back; the product of an Even and an Odd
     factor has an odd extension, so the outputs are sine fields with
-    exactly zero wall rows.  Every intermediate lives in the calling
-    thread's scratch for the grid.
+    exactly zero wall rows.  omega's term is formed on the calling
+    thread and theta's on the helper (see _both), each with its
+    derivatives and products in its own thread's scratch for the grid;
+    both read the velocity nodes in the caller's.
 
     ``out``, a pair of Odd fields on the state's grid, receives the two
     terms and is returned; by default a new pair does.  It may be
-    (state.omega, state.theta): each field is read in full before its
-    term is written.
+    (state.omega, state.theta): each term reads only its own field, in
+    full, before writing it.
 
     Raises:
         ParityError: a product failed the wall-row check in to_spectral
@@ -128,15 +225,15 @@ def nonlinear_term(state: FlowState, out=None):
     """
     grid = state.grid
     u1_g, u2_g = (u.values for u in _velocity_nodes(state.omega))
-    # velocity_from_vorticity's buffers are free again once u is at the nodes
-    d_odd = _spectral(grid, "odd", Parity.ODD)
-    d_even = _spectral(grid, "even", Parity.EVEN)
-    fx = _physical(grid, "fx", Parity.ODD)
-    fy = _physical(grid, "fy", Parity.EVEN)
-
     mask = dealias_mask(grid)
-    terms = []
-    for f, dest in zip((state.omega, state.theta), out or (None, None)):
+
+    def term(f, dest):
+        # on the caller, velocity_from_vorticity's buffers are free again
+        # once u is at the nodes
+        d_odd = _spectral(grid, "odd", Parity.ODD)
+        d_even = _spectral(grid, "even", Parity.EVEN)
+        fx = _physical(grid, "fx", Parity.ODD)
+        fy = _physical(grid, "fy", Parity.EVEN)
         fx_g = to_physical(derivative_x(f, out=d_odd), out=fx).values
         fy_g = to_physical(derivative_y(f, out=d_even), out=fy).values
         # the Odd product u1 fx + u2 fy, formed in fx's buffer
@@ -145,15 +242,20 @@ def nonlinear_term(state: FlowState, out=None):
         fx_g += fy_g
         spec = to_spectral(fx, out=dest)
         spec.coeff *= mask
-        terms.append(spec)
-    return terms[0], terms[1]
+        return spec
+
+    n_w, n_th = out or (None, None)
+    return _both(lambda: term(state.omega, n_w), lambda: term(state.theta, n_th))
 
 
 def admissible_dt(state: FlowState, cfg: StepperConfig) -> float:
-    """Advective stability bound CFL_SAFETY * min over directions of dx/|u|."""
+    """Advective stability bound CFL_SAFETY * min over directions of dx/|u|.
+
+    Each velocity lane reduces its own max |u| (see _velocity_nodes).
+    """
     grid = state.grid
-    m1, m2 = (float(np.abs(u.values, out=u.values).max())
-              for u in _velocity_nodes(state.omega))
+    m1, m2 = _velocity_nodes(state.omega,
+                             lambda u: float(np.abs(u.values, out=u.values).max()))
     bound = math.inf
     if m1 > 0:
         bound = grid.dx / m1
@@ -175,11 +277,18 @@ def _check_finite(state):
 def step(state: FlowState, cfg: StepperConfig) -> FlowState:
     """One Strang step: exact linear half, explicit transport, linear half.
 
+    The CFL check and both transport stages run two lanes at once, one on
+    the helper thread (see _both); with one usable CPU they run inline.
+    Either way the step's arithmetic, and so its result, is the same.
+
     The two fields of the returned state are the only new lattices: every
-    other buffer of the step lives in the calling thread's scratch for the
-    grid (scipy.fft still allocates each transform's output), so a
-    returned state is never written again, and trajectories interleaved on
-    one grid or run from several threads do not share memory.
+    other buffer of the step lives in the scratch for the grid of the
+    calling thread, or of the helper thread for the lanes that run there
+    (scipy.fft still allocates each transform's output).  So a returned
+    state is never written again, and trajectories interleaved on one
+    grid or run from several threads do not share memory: the helper runs
+    one caller's lane at a time, and no lane keeps a helper buffer past
+    its task.
 
     Raises:
         CflViolation: cfg.dt above the admissible advective step; the

@@ -159,12 +159,14 @@ def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralF
     spec = rfft(rows, axis=0)
     spec *= factor
 
-    # real input: the negative-j half is the conjugate mirror; the
-    # x-Nyquist column and the k=ny sine row are invisible on this grid
-    # and left zero
+    # real input: the negative-j half is the conjugate mirror, conjugated
+    # in place before the strided copy (conjugating into the strided
+    # output costs numpy a lattice-sized buffer); the x-Nyquist column and
+    # the k=ny sine row are invisible on this grid and left zero
     coeff[:half, :nk] = spec[:half]
     coeff[half] = 0.0
-    np.conjugate(spec[half - 1 : 0 : -1], out=coeff[half + 1 :, :nk])
+    np.conjugate(spec[1:half], out=spec[1:half])
+    coeff[half + 1 :, :nk] = spec[half - 1 : 0 : -1]
     coeff[:, nk:] = 0.0
     return out
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import stripflow
+from stripflow import experiments
 from stripflow.cli import main
 
 
@@ -178,6 +179,22 @@ class TestDeterminism:
         assert code == 0
         payload = json.loads((out / "oracle_summary.json").read_text())
         assert payload["pass"] is True
+
+    def test_oracle_suite_failed_verdict_exits_4(self, tmp_path, monkeypatch):
+        reference = experiments.pair_reference
+
+        def perturbed(*args):
+            return reference(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(experiments, "pair_reference", perturbed)
+        out = tmp_path / "oracle"
+        code = run_cli(["oracle-suite", "--seed", "3",
+                        "--set", "oracle.modes=20", "--output-dir", str(out)])
+        assert code == 4
+        payload = json.loads((out / "oracle_summary.json").read_text())
+        assert payload["pass"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["pass"] is False
 
 
 class TestLinearContinuumExperiment:

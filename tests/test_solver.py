@@ -1,6 +1,7 @@
 """Nonlinear solver: transport terms, stepping, trajectories, initial data."""
 
 import math
+import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -8,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stripflow.errors import CflViolation, NumericalBlowup
+from stripflow import solver
+from stripflow.errors import CflViolation, NumericalBlowup, ParityError
 from stripflow.fields import (
     FlowState,
     InitialProfile,
@@ -336,6 +338,69 @@ class TestStepScratch:
         finally:
             sys.setswitchinterval(interval)
         assert results == serial
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        """Make the solver see n usable CPUs: two lanes at n >= 2, inline at 1."""
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_one_cpu_runs_the_lanes_inline_to_the_same_bits(self, medium_grid, rng,
+                                                            monkeypatch):
+        state0 = band_limited_state(medium_grid, rng, amplitude=2.0)
+        self.cpus(monkeypatch, 2)
+        lanes = set()
+        real = solver.to_spectral
+
+        def recording(f, out=None):
+            lanes.add(threading.current_thread())
+            return real(f, out=out)
+
+        monkeypatch.setattr(solver, "to_spectral", recording)
+        two_lanes = trajectory(state0, self.CFG, 20)
+        assert len(lanes) == 2
+
+        self.cpus(monkeypatch, 1)
+        monkeypatch.setattr(solver._helper, "submit", None)  # any use would fail
+        lanes.clear()
+        assert trajectory(state0, self.CFG, 20) == two_lanes
+        assert lanes == {threading.current_thread()}
+
+    def test_a_helper_lane_error_reaches_the_caller(self, medium_grid, rng, monkeypatch):
+        state = band_limited_state(medium_grid, rng, amplitude=0.5)
+        self.cpus(monkeypatch, 1)
+        serial = state_bytes(step(state, self.CFG))
+
+        self.cpus(monkeypatch, 2)
+        caller = threading.current_thread()
+        real = solver.to_spectral
+
+        def failing_off_the_caller(f, out=None):
+            if threading.current_thread() is not caller:
+                raise ParityError("injected in the helper lane")
+            return real(f, out=out)
+
+        monkeypatch.setattr(solver, "to_spectral", failing_off_the_caller)
+        with pytest.raises(ParityError, match="injected in the helper lane"):
+            step(state, self.CFG)
+        monkeypatch.setattr(solver, "to_spectral", real)
+        assert state_bytes(step(state, self.CFG)) == serial
+
+    def test_a_forked_child_steps_after_the_parent(self, medium_grid, rng, monkeypatch):
+        """The child gets its own helper; the parent's thread is not in it."""
+        self.cpus(monkeypatch, 2)
+        state = band_limited_state(medium_grid, rng, amplitude=0.5)
+        expected = state_bytes(step(state, self.CFG))  # the parent's helper is running
+
+        def child():
+            sys.exit(0 if state_bytes(step(state, self.CFG)) == expected else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
     @pytest.mark.parametrize("nx, ny", [(64, 8), (1024, 32)])
     def test_a_warmed_step_allocates_little_beyond_its_result(self, nx, ny):
