@@ -92,8 +92,11 @@ def velocity_from_vorticity(omega: SpectralField, out=None):
     require_lattice(u1, grid, Parity.EVEN, "velocity_from_vorticity (u1)")
     require_lattice(u2, grid, Parity.ODD, "velocity_from_vorticity (u2)")
     dy_sym, dx_sym = _velocity_symbols(grid)
+    # as in derivative_y, scaling the contiguous Even lattice in place
+    # spares numpy a lattice-sized buffer for the strided output
     u1.coeff[:, 0] = 0.0
-    np.multiply(dy_sym, omega.coeff, out=u1.coeff[:, 1:])
+    u1.coeff[:, 1:] = omega.coeff
+    np.multiply(u1.coeff, dy_sym, out=u1.coeff)
     np.multiply(dx_sym, omega.coeff, out=u2.coeff)
     return u1, u2
 
@@ -112,10 +115,13 @@ def _derivative_symbols(grid):
 
 @lru_cache(maxsize=8)
 def _velocity_symbols(grid):
-    """Multipliers k pi / p (u1 rows k >= 1) and -i xi / p (u2) on the Odd lattice."""
+    """Multipliers k pi / p on the Even lattice (u1; 0 at k = 0, where p
+    vanishes at xi = 0) and -i xi / p on the Odd lattice (u2).  Both are
+    complex, so that products with coefficients need no cast buffer."""
     p = laplace_symbol(grid, Parity.ODD)
     xi = xi_values(grid)
-    dy_sym = _derivative_symbols(grid)[1][:, 1:] / p
+    dy_sym = np.zeros(grid.coeff_shape(Parity.EVEN), dtype=np.complex128)
+    dy_sym[:, 1:] = _derivative_symbols(grid)[1][:, 1:] / p
     dx_sym = -1j * xi[:, None] / p
     for a in (dy_sym, dx_sym):
         a.setflags(write=False)

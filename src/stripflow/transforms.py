@@ -3,13 +3,17 @@
 Both directions use real transforms.  In x, coefficients are folded onto
 the half spectrum j = 0..nx/2 and synthesized by an inverse real FFT; the
 nodes start at -Lx, which contributes the alternating phase (-1)^j
-relative to the usual 0-based convention.  In y, sine series run as a
-type-I discrete sine transform over the ny-1 interior rows (Odd wall rows
-are exactly zero) and cosine series as a type-I discrete cosine transform
-over all ny+1 rows, so Odd and Even fields share the same collocation
-nodes and can be multiplied pointwise.  The constant factors (node phase,
-coefficient normalization, FFT and DST/DCT scalings) make up one cached
-per-grid, per-parity array in each direction.
+relative to the usual 0-based convention, applied as a shift by half a
+period.  In y, sine series run as a type-I discrete sine transform over
+the ny-1 interior rows (Odd wall rows are exactly zero) and cosine series
+as a type-I discrete cosine transform over all ny+1 rows, so Odd and Even
+fields share the same collocation nodes and can be multiplied pointwise.
+The y-transforms are products with one cached real matrix per grid,
+parity and direction, which also carries every constant factor
+(coefficient normalization, FFT and DST/DCT scalings).  A product costs
+O(ny^2) per node row against the FFT's O(ny log ny); at nx = 1024 it
+measured faster up to about ny = 64 (ny = 32: 18 us against 70 us, one
+BLAS thread on a 2-core x86 box), and the toolkit's grids have ny <= 32.
 
 to_physical and to_spectral are exact inverses (to rounding) on the
 band-limited space: zero x-Nyquist column, zero k=ny sine row.
@@ -38,39 +42,38 @@ from .fields import (
 BOUNDARY_TOL = 1e-12
 
 
-def _amplitude_scale(grid, parity):
-    """Per-row factor turning stored coefficients into raw mode amplitudes."""
-    nk = grid.coeff_shape(parity)[1]
-    s = np.full(nk, math.sqrt(math.pi) / grid.half_width_lx)
-    if parity is Parity.EVEN:
-        s[0] /= math.sqrt(2.0)
-    return s
-
-
 @lru_cache(maxsize=16)
-def _half_spectrum_factors(grid: StripGrid, parity: Parity):
-    """(synthesis, analysis) multipliers over j = 0..nx/2 and the visible rows.
+def _y_matrices(grid: StripGrid, parity: Parity):
+    """(synthesis, analysis) real matrices of the y-direction transform.
 
-    The sine k=ny row vanishes at every node, so Odd fields have ny-1
-    visible rows and Even fields ny+1.  Synthesis multiplies
-    c[j] + conj(c[-j]) before irfft and combines the 1/2 of that fold, the
-    node phase (-1)^j, the amplitude scale, the nx of irfft's normalization
-    and the DST-I/DCT-I row weights (DST-I doubles every term, DCT-I all
-    but the two end rows).  Analysis multiplies the rfft of the
-    DST-I/DCT-I rows and undoes the same factors, with the 1/nx of rfft and
-    the 1/(2 ny) of the y-transforms' inverse.  Both are 0 at the
-    x-Nyquist entry.
+    Synthesis (nk x ny+1) maps the nk visible rows of a column block onto
+    the ny+1 node rows, analysis (ny+1 x nk) the node rows back onto the
+    visible rows.  The sine k=ny row vanishes at every node, so Odd fields
+    have nk = ny-1 visible rows and Even fields nk = ny+1.  Both are
+    DST-I/DCT-I matrices built from the transform of the identity.
+    Synthesis also carries the amplitude scale, the DST-I/DCT-I row
+    weights (DST-I doubles every term, DCT-I all but the two end rows),
+    the 1/2 of the half-spectrum fold and the nx that undoes irfft's
+    normalization; analysis undoes them with the 1/nx of rfft and the
+    1/(2 ny) of the y-transforms' inverse.  The Odd wall columns of
+    synthesis and wall rows of analysis are exactly zero.
     """
-    half = grid.nx // 2
-    nk = grid.ny - 1 if parity is Parity.ODD else grid.ny + 1
-    phase = np.where(np.arange(half + 1) % 2 == 0, 1.0, -1.0)
-    phase[half] = 0.0
+    ny = grid.ny
+    if parity is Parity.ODD:
+        nodes, nk, transform = slice(1, ny), ny - 1, dst
+    else:
+        nodes, nk, transform = slice(None), ny + 1, dct
+    scale = np.full(nk, math.sqrt(math.pi) / grid.half_width_lx)
     weight = np.full(nk, 0.5)
     if parity is Parity.EVEN:
+        scale[0] /= math.sqrt(2.0)
         weight[0] = weight[-1] = 1.0
-    scale = _amplitude_scale(grid, parity)[:nk]
-    synthesis = (0.5 * grid.nx) * phase[:, None] * (scale * weight)[None, :]
-    analysis = phase[:, None] * (1.0 / (weight * (2 * grid.ny) * scale))[None, :] / grid.nx
+    synthesis = np.zeros((nk, ny + 1))
+    analysis = np.zeros((ny + 1, nk))
+    if nk:
+        basis = transform(np.eye(nk), type=1, axis=1)
+        synthesis[:, nodes] = ((0.5 * grid.nx) * scale * weight)[:, None] * basis
+        analysis[nodes] = basis * (1.0 / (weight * (2 * ny) * scale))[None, :] / grid.nx
     for a in (synthesis, analysis):
         a.setflags(write=False)
     return synthesis, analysis
@@ -86,12 +89,12 @@ def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalF
     the values and is returned; by default a new field does.
     """
     grid = f.grid
-    ny, half = grid.ny, grid.nx // 2
+    half = grid.nx // 2
     if out is None:
-        out = PhysicalField(grid, f.parity, np.empty((grid.nx, ny + 1)))
+        out = PhysicalField(grid, f.parity, np.empty((grid.nx, grid.ny + 1)))
     require_lattice(out, grid, f.parity, "to_physical")
-    factor = _half_spectrum_factors(grid, f.parity)[0]
-    nk = factor.shape[1]
+    synthesis = _y_matrices(grid, f.parity)[0]
+    nk = synthesis.shape[0]
     if nk == 0:
         out.values[...] = 0.0
         return out
@@ -104,14 +107,11 @@ def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalF
     np.conjugate(c[:half:-1], out=folded[1:half])
     folded[1:half] += c[1:half]
     folded[half] = 0.0
-    folded *= factor
     cols = irfft(folded, n=grid.nx, axis=0)
 
-    if f.parity is Parity.EVEN:
-        out.values[...] = dct(cols, type=1, axis=1, overwrite_x=True)
-    else:
-        out.values[:, 1:ny] = dst(cols, type=1, axis=1, overwrite_x=True)
-        out.values[:, 0] = out.values[:, ny] = 0.0
+    # the nodes start at -Lx: the phase (-1)^j is a shift by half a period
+    np.matmul(cols[half:], synthesis, out=out.values[:half])
+    np.matmul(cols[:half], synthesis, out=out.values[half:])
     return out
 
 
@@ -141,23 +141,19 @@ def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralF
                                                      dtype=np.complex128))
     require_lattice(out, grid, f.parity, "to_spectral")
     coeff = out.coeff
-    factor = _half_spectrum_factors(grid, f.parity)[1]
-    nk = factor.shape[1]
+    analysis = _y_matrices(grid, f.parity)[1]
+    nk = analysis.shape[1]
     if nk == 0:
         coeff[...] = 0.0
         return out
 
-    # the y-transform runs in place on a copy; Odd wall rows are zero to
-    # BOUNDARY_TOL and carry no sine content
+    # Odd wall rows are zero to BOUNDARY_TOL, carry no sine content and
+    # meet zero rows of the analysis matrix; the half-period shift is the
+    # node phase (-1)^j, as in to_physical
     rows = scratch(grid, ("to_spectral", f.parity), lambda: np.empty((grid.nx, nk)))
-    if f.parity is Parity.ODD:
-        rows[...] = v[:, 1:ny]
-        rows = dst(rows, type=1, axis=1, overwrite_x=True)
-    else:
-        rows[...] = v
-        rows = dct(rows, type=1, axis=1, overwrite_x=True)
+    np.matmul(v[half:], analysis, out=rows[:half])
+    np.matmul(v[:half], analysis, out=rows[half:])
     spec = rfft(rows, axis=0)
-    spec *= factor
 
     # real input: the negative-j half is the conjugate mirror, conjugated
     # in place before the strided copy (conjugating into the strided
@@ -193,19 +189,8 @@ def physical_max(f: SpectralField) -> float:
     return float(np.abs(to_physical(pad_modes(f)).values).max())
 
 
-def quadrature_l2(f: PhysicalField) -> float:
-    """L2 norm by rectangle rule in x and trapezoid in y.
-
-    Exact for band-limited fields; used as the physical side of Parseval.
-    """
-    w = np.ones(f.grid.ny + 1)
-    w[0] = w[-1] = 0.5
-    total = float(np.sum(f.values**2 * w[None, :])) * f.grid.dx * f.grid.dy
-    return math.sqrt(total)
-
-
 def quadrature_l1(f: PhysicalField) -> float:
-    """L1 norm by the same quadrature weights."""
+    """L1 norm by rectangle rule in x and trapezoid in y."""
     w = np.ones(f.grid.ny + 1)
     w[0] = w[-1] = 0.5
     return float(np.sum(np.abs(f.values) * w[None, :])) * f.grid.dx * f.grid.dy

@@ -96,6 +96,17 @@ def direct_projection(grid, values, parity):
     return coeff
 
 
+def quadrature_l2(f):
+    """L2 norm of a PhysicalField by rectangle rule in x and trapezoid in y.
+
+    Exact for band-limited fields; used as the physical side of Parseval.
+    """
+    w = np.ones(f.grid.ny + 1)
+    w[0] = w[-1] = 0.5
+    total = float(np.sum(f.values**2 * w[None, :])) * f.grid.dx * f.grid.dy
+    return math.sqrt(total)
+
+
 def damped_wave(xi, k, nu, phi0, phi1, t):
     """Solution of phi'' + nu p phi' + (xi^2 / p) phi = 0 with data (phi0, phi1).
 

@@ -76,7 +76,9 @@ from stripflow.solver import (
     run_trajectory,
     step,
 )
-from stripflow.transforms import quadrature_l2, to_physical, to_spectral
+from stripflow.transforms import to_physical, to_spectral
+
+from conftest import quadrature_l2
 
 PROFILE = InitialProfile(theta=(ProfileComponent(k=1, amplitude=1.0),))
 PINNED_PROFILE = InitialProfile(theta=(ProfileComponent(k=1, amplitude=1e-4),))

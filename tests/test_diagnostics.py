@@ -31,7 +31,9 @@ from stripflow.fields import (
 )
 from stripflow.propagators import propagate_linear_pair
 from stripflow.solver import make_initial_data, nonlinear_term
-from stripflow.transforms import quadrature_l2, to_physical
+from stripflow.transforms import to_physical
+
+from conftest import quadrature_l2
 
 
 class TestNorm:

@@ -1,7 +1,10 @@
 """Nonlinear solver: transport terms, stepping, trajectories, initial data."""
 
+import hashlib
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -267,6 +270,19 @@ def state_bytes(state):
     return state.t, state.omega.coeff.tobytes(), state.theta.coeff.tobytes()
 
 
+def pinned_digest(steps):
+    """sha256 over the states of the first ``steps`` pinned 1024x32 steps."""
+    grid = StripGrid(half_width_lx=200.0 * math.pi, nx=1024, ny=32, nu=1.0)
+    profile = InitialProfile(theta=(ProfileComponent(k=1, amplitude=1e-4),))
+    state, _ = make_initial_data(profile, grid)
+    digest = hashlib.sha256()
+    for _ in range(steps):
+        state = step(state, StepperConfig(dt=0.5))
+        t, omega, theta = state_bytes(state)
+        digest.update(repr(t).encode() + omega + theta)
+    return digest.hexdigest()
+
+
 def trajectory(state, cfg, n):
     out = []
     for _ in range(n):
@@ -401,6 +417,17 @@ class TestStepScratch:
             proc.kill()
             proc.join()
         assert proc.exitcode == 0
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_blas_threading_leaves_the_bits_alone(self, blas_threads):
+        """The y-transforms run through BLAS: any thread count, the same states."""
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+        child = subprocess.run(
+            [sys.executable, "-c", "from test_solver import pinned_digest; print(pinned_digest(20))"],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert child.stdout.strip() == pinned_digest(20)
 
     @pytest.mark.parametrize("nx, ny", [(64, 8), (1024, 32)])
     def test_a_warmed_step_allocates_little_beyond_its_result(self, nx, ny):

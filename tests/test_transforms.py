@@ -19,12 +19,11 @@ from stripflow.fields import (
 from stripflow.transforms import (
     pad_modes,
     physical_max,
-    quadrature_l2,
     to_physical,
     to_spectral,
 )
 
-from conftest import direct_projection, direct_synthesis
+from conftest import direct_projection, direct_synthesis, quadrature_l2
 
 
 class TestToPhysical:
@@ -90,6 +89,26 @@ class TestRealTransformFold:
         back = to_spectral(to_physical(band))
         scale = max(np.abs(band.coeff).max(), 1.0)
         assert np.abs(back.coeff - band.coeff).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+    def test_ny_32_matches_the_direct_sums(self, rng, parity):
+        """The row count the solver runs, both directions against the oracles."""
+        grid = StripGrid(half_width_lx=5.0 * math.pi, nx=16, ny=32, nu=1.0)
+        shape = grid.coeff_shape(parity)
+        f = SpectralField(grid, parity, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+        values = to_physical(f).values
+        expected = direct_synthesis(f)
+        assert np.abs(values - expected).max() < 1e-12 * np.abs(expected).max()
+        if parity is Parity.ODD:
+            assert np.all(values[:, 0] == 0.0) and np.all(values[:, -1] == 0.0)
+
+        nodal = rng.standard_normal((grid.nx, grid.ny + 1))
+        if parity is Parity.ODD:
+            nodal[:, 0] = nodal[:, -1] = 0.0
+        coeff = to_spectral(PhysicalField(grid, parity, nodal)).coeff
+        expected = direct_projection(grid, nodal, parity)
+        assert np.abs(coeff - expected).max() < 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
     def test_round_trip_of_data_that_is_not_band_limited(self, small_grid, rng, parity):
