@@ -54,10 +54,9 @@ from .operators import (
 from .propagators import propagate_linear_pair
 from .solver import (
     StepperConfig,
-    TrajectoryResult,
     make_initial_data,
     nonlinear_term,
-    run_trajectory,
     step,
+    trajectory,
 )
 from .transforms import to_physical, to_spectral

@@ -161,9 +161,6 @@ class SpectralField:
         _check_same_lattice(self, other)
         return SpectralField(self.grid, self.parity, self.coeff - other.coeff)
 
-    def scaled(self, c):
-        return SpectralField(self.grid, self.parity, self.coeff * c)
-
 
 @dataclass
 class PhysicalField:

@@ -25,6 +25,7 @@ same arithmetic, so results do not depend on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import queue
@@ -70,23 +71,6 @@ class StepperConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-
-
-@dataclass
-class TrajectoryResult:
-    """Snapshots, plus the exception that stopped an aborted run."""
-
-    states: list
-    error: Exception | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self.error is None
-
-    @property
-    def failure(self) -> str | None:
-        """The message of the exception that stopped the run, if any."""
-        return None if self.error is None else str(self.error)
 
 
 @lru_cache(maxsize=16)
@@ -329,39 +313,33 @@ def step(state: FlowState, cfg: StepperConfig) -> FlowState:
     return out
 
 
-def run_trajectory(state0: FlowState, cfg: StepperConfig, t_end: float,
-                   sample_times) -> TrajectoryResult:
-    """Integrate to t_end, recording snapshots at step boundaries.
+def trajectory(state0: FlowState, cfg: StepperConfig, sample_times):
+    """Yield the state at the step boundary nearest each sample time.
 
-    Each requested sample time is rounded to the nearest step boundary;
-    recorded snapshot times are the exact boundary times.  On a step
-    failure the partial trajectory is returned with ``error`` set to the
-    exception, so ``completed`` is False.
+    Each sample time is rounded to the nearest step boundary at or after
+    state0.t, and samples that round to the same boundary yield once; a
+    snapshot's t is the exact boundary time.  The stream steps only as far
+    as the next sample and ends after the last, holding one state at a
+    time, so memory is set by the grid, not by how many samples are asked
+    for.  A step failure raises out of the stream; snapshots yielded
+    before it stay with the caller.
+
+    Raises:
+        ValueError: sample_times not strictly increasing (before any step).
+        CflViolation, NumericalBlowup: from ``step``.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(sample_times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
-    if len(sample_times) and sample_times[-1] > t_end + 1e-9:
-        raise ValueError("sample_times must not exceed t_end")
-
-    n_steps = int(round((t_end - state0.t) / cfg.dt))
-    targets = sorted(
-        {min(max(int(round((ts - state0.t) / cfg.dt)), 0), n_steps) for ts in sample_times}
-    )
-    states = []
-    state = state0
-    if targets and targets[0] == 0:
-        states.append(state.copy())
-        targets = targets[1:]
-    try:
-        for i in range(1, n_steps + 1):
+    # non-decreasing, so samples that share a boundary are neighbours
+    targets = (max(int(round((ts - state0.t) / cfg.dt)), 0) for ts in sample_times)
+    state, taken = state0, 0
+    for target, _ in itertools.groupby(targets):
+        while taken < target:
             state = step(state, cfg)
-            if targets and i == targets[0]:
-                states.append(state)
-                targets = targets[1:]
-    except (CflViolation, NumericalBlowup) as exc:
-        return TrajectoryResult(states, error=exc)
-    return TrajectoryResult(states)
+            taken += 1
+        # the caller's own state0 is not handed back
+        yield state.copy() if taken == 0 else state
 
 
 def make_initial_data(profile: InitialProfile, grid: StripGrid):

@@ -121,8 +121,14 @@ def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralF
     ``out``, a field of f's grid and parity, receives the coefficients and
     is returned; by default a new field does.
 
+    A non-finite Odd wall row passes the wall check (NaN compares false)
+    and comes out as non-finite coefficients, not as a ParityError: the
+    cause is a blow-up, not a parity bug, and ``step``'s finiteness check
+    reports it as NumericalBlowup with its mode index.
+
     Raises:
-        ParityError: Odd input with wall rows that are not (numerically) zero.
+        ParityError: Odd input with finite wall rows that are not
+            (numerically) zero.
     """
     grid = f.grid
     ny, half = grid.ny, grid.nx // 2

@@ -215,8 +215,12 @@ class TestLinearContinuumExperiment:
 
 
 class TestRuntimeValidation:
-    def test_honesty_window_below_a_decade_exits_2(self, tmp_path):
+    def test_honesty_window_below_a_decade_exits_2(self, tmp_path, monkeypatch):
         # Lx = 20 pi gives truncation-honesty t_max = 40 < 10 * t_min
+        from stripflow import solver
+
+        calls = []
+        monkeypatch.setattr(solver, "step", lambda state, cfg: calls.append(state))
         code = run_cli([
             "nonlinear-decay", "--output-dir", str(tmp_path),
             "--set", "grid.nx=64", "--set", "grid.ny=8",
@@ -224,13 +228,15 @@ class TestRuntimeValidation:
             "--set", "times.t_min=10", "--set", "times.t_max=4000",
         ])
         assert code == 2
+        assert calls == []  # the window is checked before any step
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "decade" in manifest["summary"]["error"]
 
     def test_cfl_violation_exits_3_with_its_admissible_dt(self, tmp_path):
         """A trajectory failure reaches the manifest with its own cause."""
         from stripflow.config import parse_config
-        from stripflow.solver import make_initial_data, run_trajectory
+        from stripflow.errors import CflViolation
+        from stripflow.solver import make_initial_data, trajectory
 
         settings = {
             "grid.nx": "64", "grid.ny": "8",
@@ -251,6 +257,7 @@ class TestRuntimeValidation:
                         + [f"{k} = {v}" for k, v in settings.items()])
         cfg = parse_config(doc)
         state0, _ = make_initial_data(cfg.profile(), cfg.grid())
-        result = run_trajectory(state0, cfg.stepper(), 1000.0, [0.0])
-        assert 0 < result.error.admissible_dt < 5.0
-        assert f"{result.error.admissible_dt:g}" in error
+        with pytest.raises(CflViolation) as exc:
+            list(trajectory(state0, cfg.stepper(), [1000.0]))
+        assert 0 < exc.value.admissible_dt < 5.0
+        assert f"{exc.value.admissible_dt:g}" in error

@@ -24,7 +24,7 @@ from stripflow.fields import (
     random_field,
     xi_index,
 )
-from stripflow.diagnostics import l2_inner
+from stripflow.diagnostics import l2_inner, theorem_suite
 from stripflow.operators import derivative_x, derivative_y, velocity_from_vorticity
 from stripflow.propagators import apply_pair, pair_step_matrix, propagate_linear_pair
 from stripflow.solver import (
@@ -33,7 +33,6 @@ from stripflow.solver import (
     dealias_mask,
     make_initial_data,
     nonlinear_term,
-    run_trajectory,
     step,
 )
 from stripflow.snapshots import load_state, save_state
@@ -449,32 +448,78 @@ class TestStepScratch:
         assert growth <= 3 * nx * ny * 16
 
 
-class TestRunTrajectory:
+class TestTrajectory:
     def test_zero_initial_data_stays_zero(self, medium_grid):
         state0 = FlowState(
             0.0,
             SpectralField.zeros(medium_grid, Parity.ODD),
             SpectralField.zeros(medium_grid, Parity.ODD),
         )
-        result = run_trajectory(state0, StepperConfig(dt=0.25), 2.0, [0.5, 1.0, 2.0])
-        assert result.completed
-        assert len(result.states) == 3
-        for s in result.states:
+        states = list(solver.trajectory(state0, StepperConfig(dt=0.25), [0.5, 1.0, 2.0]))
+        assert len(states) == 3
+        for s in states:
             assert np.all(s.omega.coeff == 0.0)
 
     def test_snapshot_times_are_step_boundaries(self, medium_grid, rng):
         state0 = band_limited_state(medium_grid, rng, amplitude=1e-3)
-        result = run_trajectory(
-            state0, StepperConfig(dt=0.25), 2.0, [0.3, 0.9, 1.4, 2.0]
-        )
-        assert result.completed
-        recorded = [s.t for s in result.states]
+        states = solver.trajectory(state0, StepperConfig(dt=0.25), [0.3, 0.9, 1.4, 2.0])
+        recorded = [s.t for s in states]
         assert recorded == pytest.approx([0.25, 1.0, 1.5, 2.0])
 
-    def test_rejects_unsorted_samples(self, medium_grid, rng):
+    def test_rejects_unsorted_samples(self, medium_grid, rng, monkeypatch):
         state0 = band_limited_state(medium_grid, rng)
+        calls = []
+        monkeypatch.setattr(solver, "step", lambda state, cfg: calls.append(state))
         with pytest.raises(ValueError, match="strictly increasing"):
-            run_trajectory(state0, StepperConfig(dt=0.1), 1.0, [0.5, 0.4])
+            list(solver.trajectory(state0, StepperConfig(dt=0.1), [0.5, 0.4]))
+        assert calls == []
+
+    def test_steps_only_up_to_the_last_sample(self, medium_grid, rng, monkeypatch):
+        state0 = band_limited_state(medium_grid, rng, amplitude=1e-3)
+        calls = []
+
+        def counted(state, cfg):
+            calls.append(state.t)
+            return step(state, cfg)
+
+        monkeypatch.setattr(solver, "step", counted)
+        states = list(solver.trajectory(state0, StepperConfig(dt=0.25), [0.25, 0.5]))
+        assert len(calls) == 2
+        assert [s.t for s in states] == [0.25, 0.5]
+
+    def test_memory_is_bounded_by_the_grid_not_the_samples(self):
+        """Streamed into theorem_suite, 400 samples peak within two lattices
+        of 20, beyond the suite's own curves (a kept list of snapshots
+        grows two lattices a sample).
+
+        The suite's curves, ten floats a sample, are measured on a stream
+        of snapshots that share one pair of lattices.
+        """
+        nx, ny = 64, 8
+        grid = StripGrid(half_width_lx=20.0 * math.pi, nx=nx, ny=ny, nu=1.0)
+        profile = InitialProfile(theta=(ProfileComponent(k=1, amplitude=1e-4),))
+        state0, _ = make_initial_data(profile, grid)
+        cfg = StepperConfig(dt=0.5)
+        warm = list(solver.trajectory(state0, cfg, [0.5, 1.0]))[-1]  # caches, scratch
+
+        def peak(states):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                theorem_suite(states)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def streamed(n):
+            return peak(solver.trajectory(state0, cfg, 0.5 * np.arange(1, n + 1)))
+
+        def curves_only(n):
+            return peak(FlowState(0.5 * i, warm.omega, warm.theta) for i in range(1, n + 1))
+
+        growth = streamed(400) - streamed(20)
+        assert growth < curves_only(400) - curves_only(20) + 2 * nx * ny * 16
 
 
 class TestMakeInitialData:
@@ -569,16 +614,15 @@ class TestBlowupDetection:
         assert isinstance(err.value.mode_index, tuple)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_run_trajectory_returns_partial_with_failure_marker(self, medium_grid):
+    def test_trajectory_keeps_earlier_snapshots_then_raises(self, medium_grid):
         omega = SpectralField.zeros(medium_grid, Parity.ODD)
         theta = SpectralField.zeros(medium_grid, Parity.ODD)
         omega.coeff[3, 2] = np.inf
         state = FlowState(0.0, omega, theta)
-        result = run_trajectory(state, StepperConfig(dt=0.1), 1.0, [0.5, 1.0])
-        assert not result.completed
-        assert "non-finite" in result.failure
-        assert isinstance(result.error, NumericalBlowup)
-        assert str(result.error) == result.failure
+        states = []
+        with pytest.raises(NumericalBlowup, match="non-finite"):
+            states.extend(solver.trajectory(state, StepperConfig(dt=0.1), [0.0, 0.5, 1.0]))
+        assert [s.t for s in states] == [0.0]
 
 
 class TestCrossModuleConsistency:

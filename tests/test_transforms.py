@@ -175,6 +175,14 @@ class TestToSpectral:
         with pytest.raises(ParityError, match="wall rows"):
             to_spectral(PhysicalField(small_grid, Parity.ODD, values))
 
+    def test_nan_wall_row_gives_non_finite_coefficients(self, medium_grid, rng):
+        """A NaN wall value passes the wall check and reaches the
+        coefficients, where step reports it as a blow-up."""
+        phys = to_physical(random_field(medium_grid, Parity.ODD, rng))
+        phys.values[3, 0] = np.nan
+        coeff = to_spectral(phys).coeff  # no ParityError
+        assert not np.isfinite(coeff).all()
+
     def test_round_trip_physical_spectral_physical(self, medium_grid, rng):
         f = random_field(medium_grid, Parity.EVEN, rng)
         phys = to_physical(f)
