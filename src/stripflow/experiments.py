@@ -311,8 +311,9 @@ def _run_oracle_suite(cfg, out_dir):
         k = int(rng.integers(1, 33))
         nu = nus[rng.integers(0, 3)]
         y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        modes.append((xi, k, nu, y0, pair_reference(xi, k, nu, y0, eval_times)))
-    xi, k, nu, y0, ref = (np.array(column) for column in zip(*modes))
+        modes.append((xi, k, nu, y0))
+    xi, k, nu, y0 = (np.array(column) for column in zip(*modes))
+    ref = pair_reference(xi, k, nu, y0, eval_times)
 
     p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
     closed = np.empty_like(ref)

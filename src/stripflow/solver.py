@@ -75,11 +75,15 @@ class StepperConfig:
 
 @lru_cache(maxsize=16)
 def dealias_mask(grid: StripGrid):
-    """Boolean keep-mask on the Odd lattice: |j| <= f nx/2 and k <= f ny."""
+    """Keep-mask on the Odd lattice, 1 where |j| <= f nx/2 and k <= f ny, else 0.
+
+    Complex, so ``coeff *= mask`` needs no lattice-sized cast buffer; its
+    1+0j and 0 are the values numpy would cast a boolean mask to.
+    """
     f = DEALIAS_FRACTION
     j = np.abs(xi_index(grid))[:, None]
     k = np.arange(1, grid.ny + 1)[None, :]
-    mask = (j <= f * grid.nx / 2.0) & (k <= f * grid.ny)
+    mask = ((j <= f * grid.nx / 2.0) & (k <= f * grid.ny)).astype(complex)
     mask.setflags(write=False)
     return mask
 

@@ -5,10 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
+from stripflow import oracles
 from stripflow.errors import GridMismatchError
 from stripflow.fields import Parity, SpectralField, random_field, xi_values
-from stripflow.oracles import damped_wave_reference, pair_reference, relative_gap
+from stripflow.oracles import (
+    STIFF_HORIZON,
+    damped_wave_reference,
+    pair_reference,
+    relative_gap,
+)
 from stripflow.propagators import (
     classify_region,
     pair_derivatives,
@@ -232,6 +239,67 @@ class TestOdeOracle:
             exact = mpmath.expm(a * t) * y
             want = [complex(exact[0]), complex(exact[1])]
             assert relative_gap(ref[i], want, scale0) < 1e-10, t
+
+    def test_batch_classes_do_not_touch_each_other(self, rng):
+        """Adams and BDF rows of a mixed batch, bit for bit as in batches of their own."""
+        times = np.array([0.1, 1.0, 10.0, 100.0])
+        # weakly damped k = 1 modes stay on Adams, nu = 1 modes go to BDF
+        xi = np.concatenate([rng.uniform(-5.0, 5.0, 6), rng.uniform(-50.0, 50.0, 6)])
+        k = np.concatenate([np.ones(6, dtype=int), rng.integers(1, 33, 6)])
+        nu = np.repeat([0.01, 1.0], 6)
+        y0 = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+        order = rng.permutation(12)
+        xi, k, nu, y0 = xi[order], k[order], nu[order], y0[order]
+        p = xi * xi + (math.pi * k) ** 2
+        stiff = nu * p * times.max() >= STIFF_HORIZON
+        assert stiff.sum() == 6
+        mixed = pair_reference(xi, k, nu, y0, times)
+        for rows in (stiff, ~stiff):
+            alone = pair_reference(xi[rows], k[rows], nu[rows], y0[rows], times)
+            assert mixed[rows].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("system", ["pair", "damped-wave"])
+    def test_batch_against_expm_per_mode(self, system, rng):
+        """One batch, each mode against scipy's expm of its own 2x2 matrix.
+
+        Includes the weakly damped nu = 0.01 mode of the expm test above
+        (t = 100 is where BDF missed it) and a stiff nu = 1, k = 32 mode.
+        """
+        times = np.array([0.1, 1.0, 10.0, 100.0])
+        xi = np.concatenate([[-4.799481934481207, -48.5], rng.uniform(-50.0, 50.0, 10)])
+        k = np.concatenate([[1, 32], rng.integers(1, 33, 10)])
+        nu = np.concatenate([[0.01, 1.0], rng.choice([0.01, NU_STAR, 1.0], 10)])
+        y0 = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+        p = xi * xi + (math.pi * k) ** 2
+        if system == "pair":
+            ref = pair_reference(xi, k, nu, y0, times)
+            a = [[[-v * q, 1j * x], [1j * x / q, 0.0]] for x, q, v in zip(xi, p, nu)]
+        else:
+            ref = damped_wave_reference(xi, k, nu, y0[:, 0], y0[:, 1], times)
+            a = [[[0.0, 1.0], [-x * x / q, -v * q]] for x, q, v in zip(xi, p, nu)]
+        assert ref.shape == (12, len(times), 2)
+        for row, a_row in enumerate(np.array(a, dtype=complex)):
+            scale0 = float(np.linalg.norm(y0[row]))
+            for i, t in enumerate(times):
+                want = scipy.linalg.expm(a_row * t) @ y0[row]
+                assert relative_gap(ref[row, i], want, scale0) < 1e-9, (row, t)
+
+    def test_scalar_call_is_a_batch_of_one(self):
+        times = [0.0, 0.5, 2.0]
+        ref = pair_reference(1.5, 2, 0.1, (1.0, 1j), times)
+        assert ref.shape == (len(times), 2)
+        batch = pair_reference(np.array([1.5]), np.array([2]), np.array([0.1]),
+                               np.array([[1.0, 1j]]), times)
+        assert batch.shape == (1, len(times), 2)
+        assert batch[0].tobytes() == ref.tobytes()
+        assert damped_wave_reference(1.5, 2, 0.1, 1.0, 1j, times).shape == (len(times), 2)
+
+    def test_failure_names_method_batch_and_return_code(self, monkeypatch):
+        """A tolerance zvode refuses (as a huge batch's scaled one would be)."""
+        monkeypatch.setattr(oracles, "_ADAMS", dict(oracles._ADAMS, rtol=1e-20, atol=1e-30))
+        with pytest.warns(UserWarning), pytest.raises(
+                RuntimeError, match=r"t=1\.0: adams on 2 modes .* return code -3"):
+            pair_reference(np.array([1.0, 2.0]), 1, 0.01, np.ones((2, 2)), [1.0])
 
     def test_damped_wave_matches_adaptive_integration(self, rng):
         times = np.array([0.1, 1.0, 10.0])
