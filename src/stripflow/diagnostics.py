@@ -1,7 +1,8 @@
 """Norms, decay-rate fitting and energy-identity bookkeeping.
 
 Spectral norms use the uniform quadrature weight dxi = pi/Lx of the
-coefficient convention (see fields module):
+coefficient convention (see fields module), summed over the full spectrum
+(the stored columns weighted by fields.column_multiplicity):
 
     l2hat(f) = sqrt( sum |w(xi,k) coeff|^2 dxi )
     l1hat(f) = sum |w(xi,k) coeff| dxi
@@ -26,6 +27,7 @@ from .errors import GridMismatchError, WindowTooShort
 from .fields import (
     Parity,
     SpectralField,
+    column_multiplicity,
     laplace_symbol,
     occupied_rows,
     xi_values,
@@ -108,13 +110,19 @@ def _occupied_modulus(coeff):
     return rows, np.abs(coeff[:, rows])
 
 
-def _lattice_norm(w, rows, modulus, nid, dxi):
+def _spectrum_sum(grid, terms):
+    """dxi times the sum over the full spectrum of real ``terms`` given on
+    the stored columns (leading axis j = 0..nx/2)."""
+    return float(np.sum(column_multiplicity(grid) * terms)) * grid.dxi
+
+
+def _lattice_norm(w, rows, modulus, nid, grid):
     """Reduction of the weight w >= 0 times |coeff| (from _occupied_modulus):
-    l1 sum or l2 root-sum-square, times dxi."""
+    l1 sum or l2 root-sum-square over the full spectrum, times dxi."""
     weighted = w[:, rows] * modulus
     if nid.kind == "l1hat":
-        return float(weighted.sum() * dxi)
-    return math.sqrt((weighted**2).sum() * dxi)
+        return _spectrum_sum(grid, weighted)
+    return math.sqrt(_spectrum_sum(grid, weighted**2))
 
 
 def norm(f: SpectralField, nid: NormId) -> float:
@@ -127,7 +135,7 @@ def norm(f: SpectralField, nid: NormId) -> float:
     if nid.kind == "linf":
         return physical_max(f)
     w = _lattice_weight(f.grid, f.parity, nid)
-    return _lattice_norm(w, *_occupied_modulus(f.coeff), nid, f.grid.dxi)
+    return _lattice_norm(w, *_occupied_modulus(f.coeff), nid, f.grid)
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -136,7 +144,7 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
         raise GridMismatchError("inner product across grids")
     if f.parity is not g.parity:
         raise ValueError("inner product requires matching parity")
-    return float(np.real(np.sum(f.coeff * np.conj(g.coeff))) * f.grid.dxi)
+    return _spectrum_sum(f.grid, (f.coeff * np.conj(g.coeff)).real)
 
 
 def grad_inner(f: SpectralField, g: SpectralField) -> float:
@@ -144,7 +152,7 @@ def grad_inner(f: SpectralField, g: SpectralField) -> float:
     if f.grid != g.grid:
         raise GridMismatchError("inner product across grids")
     p = laplace_symbol(f.grid, f.parity)
-    return float(np.real(np.sum(p * f.coeff * np.conj(g.coeff))) * f.grid.dxi)
+    return _spectrum_sum(f.grid, (p * f.coeff * np.conj(g.coeff)).real)
 
 
 @dataclass
@@ -318,25 +326,24 @@ def energy_report(traj, nu, nonlinear_terms=None) -> EnergyReport:
     for s in traj:
         if grid is None:
             grid = s.grid
-            dxi = grid.dxi
             lap = laplace_symbol(grid, Parity.ODD)
-            xi = np.repeat(xi_values(grid)[:, None], grid.ny, axis=1)
+            x = xi_values(grid)[:, None]
         elif s.grid != grid:
             raise GridMismatchError("snapshots on different grids")
         rows = occupied_rows(s.omega.coeff, s.theta.coeff)
-        p, x = lap[:, rows], xi[:, rows]
+        p = lap[:, rows]
         om, th = s.omega.coeff[:, rows], s.theta.coeff[:, rows]
         th_sq = th.real**2 + th.imag**2
         om_sq = om.real**2 + om.imag**2
         times.append(s.t)
-        energy.append(float(np.sum(p * th_sq)) * dxi + float(np.sum(om_sq)) * dxi)
-        grad_omega_sq.append(float(np.sum(p * om_sq)) * dxi)
+        energy.append(_spectrum_sum(grid, p * th_sq) + _spectrum_sum(grid, om_sq))
+        grad_omega_sq.append(_spectrum_sum(grid, p * om_sq))
         # B3 = <grad d/dx (-Lap)^{-1} omega, grad theta> + <d/dx theta, omega>
         #    = sum p xi Im(theta conj(psi)) + sum xi Im(omega conj(theta)) with
         # psi = omega / p; the two terms cancel only through that division
-        term1 = np.sum(p * x * ((om.real / p) * th.imag - (om.imag / p) * th.real))
-        term2 = np.sum(x * (th.real * om.imag - th.imag * om.real))
-        b3.append(float(term1 + term2) * dxi)
+        term1 = p * x * ((om.real / p) * th.imag - (om.imag / p) * th.real)
+        term2 = x * (th.real * om.imag - th.imag * om.real)
+        b3.append(_spectrum_sum(grid, term1 + term2))
         if nonlinear_terms is not None:
             n_omega, n_theta = nonlinear_terms(s)
             b1.append(-l2_inner(n_omega, s.omega))
@@ -408,7 +415,7 @@ def theorem_suite(traj, window=None):
         moduli = {"omega": _occupied_modulus(s.omega.coeff),
                   "theta": _occupied_modulus(s.theta.coeff)}
         for (_, which, nid, _), w, vals in zip(THEOREM_LADDER, weights, values):
-            vals.append(_lattice_norm(w, *moduli[which], nid, grid.dxi))
+            vals.append(_lattice_norm(w, *moduli[which], nid, grid))
     times = np.array(times)
     if window is None:
         positive = times[times > 0]

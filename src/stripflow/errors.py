@@ -31,8 +31,8 @@ class CflViolation(StripflowError):
 class NumericalBlowup(StripflowError):
     """NaN/Inf detected during time integration.
 
-    ``mode_index`` is the (j, k) index of the first offending coefficient,
-    ``field`` names which field it appeared in.
+    ``mode_index`` is the (j, k), j = 0..nx/2, of the first offending
+    coefficient, ``field`` names which field it appeared in.
     """
 
     def __init__(self, field, mode_index, t):

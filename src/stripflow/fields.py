@@ -10,17 +10,18 @@ Coefficient normalization: ``coeff[j, k]`` stores the continuum transform
 value of the field at (xi_j, k), scaled so that the discrete Parseval
 identity holds with a single quadrature weight dxi = pi/Lx:
 
-    ||f||_{L2}^2 = sum_{j,k} |coeff[j,k]|^2 * dxi
+    ||f||_{L2}^2 = sum_{j,k} |coeff[j,k]|^2 * dxi   (over the full spectrum)
 
 For a raw mode amplitude a (the factor multiplying exp(i xi x) sin(k pi y))
 this means coeff = a * Lx / sqrt(pi), with the Even k=0 row carrying an
 extra sqrt(2) so the uniform weight stays valid.
 
-Real-valued fields satisfy Hermitian symmetry coeff[-j, k] = conj(coeff[j, k]).
-The x-Nyquist column (j = -nx/2) is forced to zero on synthesis so that real
-fields have an unambiguous representation; the sine k = ny row is invisible
-on the collocation grid (sin(ny pi n / ny) = 0 at every node) and is treated
-the same way.
+The fields are real, so coeff at -xi_j is the conjugate of coeff at xi_j:
+only the columns j = 0..nx/2 are stored (rfft's layout), j = 0 is real, and
+the x-Nyquist column j = nx/2 is kept zero so that real fields have an
+unambiguous representation; the sine k = ny row is invisible on the
+collocation grid (sin(ny pi n / ny) = 0 at every node) and is treated the
+same way.
 """
 
 from __future__ import annotations
@@ -87,12 +88,12 @@ class StripGrid:
 
     @property
     def nyquist_row(self):
-        """Index of the j = -nx/2 column in FFT ordering."""
+        """Index of the x-Nyquist column j = nx/2, the last one stored."""
         return self.nx // 2
 
     def coeff_shape(self, parity):
         nk = self.ny if parity is Parity.ODD else self.ny + 1
-        return (self.nx, nk)
+        return (self.nx // 2 + 1, nk)
 
     def x_nodes(self):
         return -self.half_width_lx + self.dx * np.arange(self.nx)
@@ -103,14 +104,25 @@ class StripGrid:
 
 @lru_cache(maxsize=None)
 def xi_index(grid: StripGrid):
-    """Integer mode numbers j in FFT ordering: 0..nx/2-1, -nx/2..-1."""
-    return np.fft.fftfreq(grid.nx, 1.0 / grid.nx).astype(int)
+    """Integer mode numbers j = 0..nx/2 of the stored columns."""
+    return np.arange(grid.nx // 2 + 1)
 
 
 @lru_cache(maxsize=None)
 def xi_values(grid: StripGrid):
-    """Horizontal frequencies xi_j = pi j / Lx in FFT ordering."""
+    """Horizontal frequencies xi_j = pi j / Lx of the stored columns."""
     return math.pi * xi_index(grid) / grid.half_width_lx
+
+
+@lru_cache(maxsize=None)
+def column_multiplicity(grid: StripGrid):
+    """Weights, shape (nx/2 + 1, 1), that turn a sum over the stored columns
+    into one over the full spectrum: 1 at j = 0, 2 for 0 < j < nx/2 (the
+    conjugate column -j counts too) and 0 at the zero Nyquist column."""
+    m = np.full((grid.nx // 2 + 1, 1), 2.0)
+    m[0], m[-1] = 1.0, 0.0
+    m.setflags(write=False)
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -302,45 +314,21 @@ def scratch(grid, name, make):
     return obj
 
 
-def hermitian_project(grid, coeff):
-    """Project a coefficient array onto the Hermitian (real-field) subspace.
-
-    Averages coeff[j] with conj(coeff[-j]), forces the j=0 column real and
-    zeroes the x-Nyquist column.
-    """
-    out = coeff.copy()
-    rev = np.empty_like(out)
-    rev[0] = out[0]
-    rev[1:] = out[:0:-1]
-    out = 0.5 * (out + np.conj(rev))
-    out[0] = out[0].real
-    out[grid.nyquist_row] = 0.0
-    return out
-
-
-def is_hermitian(coeff):
-    """coeff[-j] equals conj(coeff[j]) to 1e-12 of the largest |coeff|."""
-    rev = np.empty_like(coeff)
-    rev[0] = coeff[0]
-    rev[1:] = coeff[:0:-1]
-    scale = np.abs(coeff).max() or 1.0
-    return np.abs(coeff - np.conj(rev)).max() <= 1e-12 * scale
-
-
 def random_field(grid, parity, rng, amplitude=1.0, kmax=None, jmax=None):
-    """Random band-limited Hermitian field for tests and sampling.
+    """Random band-limited real field (real j = 0 column) for tests and sampling.
 
-    Nyquist rows (x column j=-nx/2 and the sine/cosine k=ny row) are zeroed
+    Nyquist rows (x column j=nx/2 and the sine/cosine k=ny row) are zeroed
     so transforms, Parseval and quadrature identities are exact.
     """
     shape = grid.coeff_shape(parity)
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeff *= amplitude
-    coeff = hermitian_project(grid, coeff)
+    coeff[0] = coeff[0].real
+    coeff[grid.nyquist_row] = 0.0
     k = y_wavenumbers(grid, parity)
     coeff[:, k == grid.ny] = 0.0
     if kmax is not None:
         coeff[:, k > kmax] = 0.0
     if jmax is not None:
-        coeff[np.abs(xi_index(grid)) > jmax, :] = 0.0
+        coeff[jmax + 1 :] = 0.0
     return SpectralField(grid, parity, coeff)

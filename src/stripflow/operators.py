@@ -31,7 +31,7 @@ def derivative_x(f: SpectralField, out: SpectralField | None = None) -> Spectral
     """
     out = SpectralField.zeros(f.grid, f.parity) if out is None else out
     require_lattice(out, f.grid, f.parity, "derivative_x")
-    np.multiply(f.coeff, _derivative_symbols(f.grid)[0], out=out.coeff)
+    np.multiply(f.coeff, _derivative_symbols(f.grid, f.parity)[0], out=out.coeff)
     return out
 
 
@@ -44,7 +44,7 @@ def derivative_y(f: SpectralField, out: SpectralField | None = None) -> Spectral
     grid = f.grid
     out = SpectralField.zeros(grid, f.parity.flipped()) if out is None else out
     require_lattice(out, grid, f.parity.flipped(), "derivative_y")
-    _, k_pi, minus_k_pi = _derivative_symbols(grid)
+    _, k_pi, minus_k_pi = _derivative_symbols(grid, f.parity)
     if f.parity is Parity.ODD:
         # rows k=1..ny map onto the same k of the cosine family; cosine k=0
         # receives nothing.  Scaling the whole contiguous lattice in place
@@ -101,11 +101,12 @@ def velocity_from_vorticity(omega: SpectralField, out=None):
     return u1, u2
 
 
-@lru_cache(maxsize=8)
-def _derivative_symbols(grid):
-    """Multipliers i xi (d/dx), k pi over the cosine rows k = 0..ny (d/dy of
-    a sine row) and -k pi over the sine rows k = 1..ny (d/dy of a cosine row)."""
-    ixi = 1j * xi_values(grid)[:, None]
+@lru_cache(maxsize=16)
+def _derivative_symbols(grid, parity):
+    """Multipliers i xi (d/dx) on the whole lattice of the parity (an (n, 1)
+    column would cost a numpy buffer a call), k pi over the cosine rows
+    k = 0..ny (d/dy of a sine row) and -k pi over the sine rows k = 1..ny."""
+    ixi = np.broadcast_to(1j * xi_values(grid)[:, None], grid.coeff_shape(parity)).copy()
     k_pi = (math.pi * y_wavenumbers(grid, Parity.EVEN))[None, :]
     minus_k_pi = -k_pi[:, 1:]
     for a in (ixi, k_pi, minus_k_pi):
@@ -121,7 +122,7 @@ def _velocity_symbols(grid):
     p = laplace_symbol(grid, Parity.ODD)
     xi = xi_values(grid)
     dy_sym = np.zeros(grid.coeff_shape(Parity.EVEN), dtype=np.complex128)
-    dy_sym[:, 1:] = _derivative_symbols(grid)[1][:, 1:] / p
+    dy_sym[:, 1:] = _derivative_symbols(grid, Parity.EVEN)[1][:, 1:] / p
     dx_sym = -1j * xi[:, None] / p
     for a in (dy_sym, dx_sym):
         a.setflags(write=False)

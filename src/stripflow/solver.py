@@ -44,7 +44,6 @@ from .fields import (
     PhysicalField,
     SpectralField,
     StripGrid,
-    hermitian_project,
     scratch,
     xi_index,
     xi_values,
@@ -75,13 +74,13 @@ class StepperConfig:
 
 @lru_cache(maxsize=16)
 def dealias_mask(grid: StripGrid):
-    """Keep-mask on the Odd lattice, 1 where |j| <= f nx/2 and k <= f ny, else 0.
+    """Keep-mask on the Odd lattice, 1 where j <= f nx/2 and k <= f ny, else 0.
 
     Complex, so ``coeff *= mask`` needs no lattice-sized cast buffer; its
     1+0j and 0 are the values numpy would cast a boolean mask to.
     """
     f = DEALIAS_FRACTION
-    j = np.abs(xi_index(grid))[:, None]
+    j = xi_index(grid)[:, None]
     k = np.arange(1, grid.ny + 1)[None, :]
     mask = ((j <= f * grid.nx / 2.0) & (k <= f * grid.ny)).astype(complex)
     mask.setflags(write=False)
@@ -256,10 +255,8 @@ def _check_finite(state):
     for name, f in (("omega", state.omega), ("theta", state.theta)):
         bad = ~np.isfinite(f.coeff)
         if bad.any():
-            idx = np.argwhere(bad)[0]
-            j = int(xi_index(state.grid)[idx[0]])
-            k = int(idx[1] + 1)
-            raise NumericalBlowup(name, (j, k), state.t)
+            j, col = np.argwhere(bad)[0]
+            raise NumericalBlowup(name, (int(j), int(col) + 1), state.t)
 
 
 def step(state: FlowState, cfg: StepperConfig) -> FlowState:
@@ -365,7 +362,7 @@ def make_initial_data(profile: InitialProfile, grid: StripGrid):
             if c.k > grid.ny:
                 raise ValueError(f"component k={c.k} exceeds ny={grid.ny}")
             coeff[:, c.k - 1] += c.envelope(xi)
-        coeff = hermitian_project(grid, coeff)
+        coeff[grid.nyquist_row] = 0.0
         return SpectralField(grid, Parity.ODD, coeff)
 
     theta = synthesize(profile.theta)

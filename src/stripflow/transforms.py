@@ -1,11 +1,11 @@
 """Transforms between coefficient space and collocation values.
 
-Both directions use real transforms.  In x, coefficients are folded onto
-the half spectrum j = 0..nx/2 and synthesized by an inverse real FFT; the
-nodes start at -Lx, which contributes the alternating phase (-1)^j
-relative to the usual 0-based convention, applied as a shift by half a
-period.  In y, sine series run as a type-I discrete sine transform over
-the ny-1 interior rows (Odd wall rows are exactly zero) and cosine series
+Both directions use real transforms.  In x, the stored columns j = 0..nx/2
+are the half spectrum that irfft synthesizes and rfft computes; the nodes
+start at -Lx, which contributes the alternating phase (-1)^j relative to
+the usual 0-based convention, applied as a shift by half a period.  In y,
+sine series run as a type-I discrete sine transform over the ny-1 interior
+rows (Odd wall rows are exactly zero) and cosine series
 as a type-I discrete cosine transform over all ny+1 rows, so Odd and Even
 fields share the same collocation nodes and can be multiplied pointwise.
 The y-transforms are products with one cached real matrix per grid,
@@ -52,11 +52,11 @@ def _y_matrices(grid: StripGrid, parity: Parity):
     have nk = ny-1 visible rows and Even fields nk = ny+1.  Both are
     DST-I/DCT-I matrices built from the transform of the identity.
     Synthesis also carries the amplitude scale, the DST-I/DCT-I row
-    weights (DST-I doubles every term, DCT-I all but the two end rows),
-    the 1/2 of the half-spectrum fold and the nx that undoes irfft's
-    normalization; analysis undoes them with the 1/nx of rfft and the
-    1/(2 ny) of the y-transforms' inverse.  The Odd wall columns of
-    synthesis and wall rows of analysis are exactly zero.
+    weights (DST-I doubles every term, DCT-I all but the two end rows)
+    and the nx that undoes irfft's normalization; analysis undoes them
+    with the 1/nx of rfft and the 1/(2 ny) of the y-transforms' inverse.
+    The Odd wall columns of synthesis and wall rows of analysis are
+    exactly zero.
     """
     ny = grid.ny
     if parity is Parity.ODD:
@@ -72,7 +72,7 @@ def _y_matrices(grid: StripGrid, parity: Parity):
     analysis = np.zeros((ny + 1, nk))
     if nk:
         basis = transform(np.eye(nk), type=1, axis=1)
-        synthesis[:, nodes] = ((0.5 * grid.nx) * scale * weight)[:, None] * basis
+        synthesis[:, nodes] = (grid.nx * scale * weight)[:, None] * basis
         analysis[nodes] = basis * (1.0 / (weight * (2 * ny) * scale))[None, :] / grid.nx
     for a in (synthesis, analysis):
         a.setflags(write=False)
@@ -80,13 +80,12 @@ def _y_matrices(grid: StripGrid, parity: Parity):
 
 
 def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalField:
-    """Evaluate the double series at the collocation nodes.
+    """Evaluate the double series of the real field f at the collocation nodes.
 
-    Returns the real part of the full complex double sum, also for
-    coefficients without Hermitian symmetry.  The x-Nyquist column is
-    dropped on synthesis (forced-zero convention) and Odd wall rows come
-    out exactly zero.  ``out``, a field of f's grid and parity, receives
-    the values and is returned; by default a new field does.
+    irfft reads only the real part of the j = 0 column, and the x-Nyquist
+    column is dropped on synthesis (forced-zero convention); Odd wall rows
+    come out exactly zero.  ``out``, a field of f's grid and parity,
+    receives the values and is returned; by default a new field does.
     """
     grid = f.grid
     half = grid.nx // 2
@@ -99,15 +98,11 @@ def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalF
         out.values[...] = 0.0
         return out
 
-    # Re sum_j c_j e^{i j x} only sees c[j] + conj(c[-j]) for j >= 0
-    c = f.coeff[:, :nk]
-    folded = scratch(grid, ("to_physical", f.parity),
-                     lambda: np.zeros((half + 1, nk), dtype=np.complex128))
-    folded[0] = 2.0 * c[0].real
-    np.conjugate(c[:half:-1], out=folded[1:half])
-    folded[1:half] += c[1:half]
-    folded[half] = 0.0
-    cols = irfft(folded, n=grid.nx, axis=0)
+    # irfft reads the Nyquist column, so it gets a copy where that column
+    # is zero (padding a shorter input would cost it a new lattice a call)
+    c = scratch(grid, ("to_physical", f.parity), lambda: np.zeros((half + 1, nk), complex))
+    c[:half] = f.coeff[:half, :nk]
+    cols = irfft(c, n=grid.nx, axis=0)
 
     # the nodes start at -Lx: the phase (-1)^j is a shift by half a period
     np.matmul(cols[half:], synthesis, out=out.values[:half])
@@ -161,14 +156,10 @@ def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralF
     np.matmul(v[:half], analysis, out=rows[half:])
     spec = rfft(rows, axis=0)
 
-    # real input: the negative-j half is the conjugate mirror, conjugated
-    # in place before the strided copy (conjugating into the strided
-    # output costs numpy a lattice-sized buffer); the x-Nyquist column and
-    # the k=ny sine row are invisible on this grid and left zero
+    # the x-Nyquist column and the k=ny sine row are invisible on this
+    # grid and left zero
     coeff[:half, :nk] = spec[:half]
     coeff[half] = 0.0
-    np.conjugate(spec[1:half], out=spec[1:half])
-    coeff[half + 1 :, :nk] = spec[half - 1 : 0 : -1]
     coeff[:, nk:] = 0.0
     return out
 
@@ -184,9 +175,7 @@ def pad_modes(f: SpectralField) -> SpectralField:
     fine = StripGrid(grid.half_width_lx, 2 * grid.nx, 2 * grid.ny, grid.nu)
     out = SpectralField.zeros(fine, f.parity)
     half = grid.nx // 2
-    kcount = f.coeff.shape[1]
-    out.coeff[:half, :kcount] = f.coeff[:half]
-    out.coeff[2 * grid.nx - half :, :kcount] = f.coeff[half:]
+    out.coeff[:half, : f.coeff.shape[1]] = f.coeff[:half]
     return out
 
 

@@ -49,10 +49,11 @@ class TestNorm:
         f.coeff[row, col] = a
         xi0 = float(xi_values(small_grid)[row])
         m = 3
+        # the stored column j = 3 stands for the modes j = 3 and j = -3
         expected = (
             abs(a)
             * (1.0 + xi0**2 + (2 * math.pi) ** 2) ** (m / 2.0)
-            * math.sqrt(small_grid.dxi)
+            * math.sqrt(2.0 * small_grid.dxi)
         )
         assert norm(f, NormId.sobolev(m)) == pytest.approx(expected, rel=1e-14)
 

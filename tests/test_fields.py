@@ -14,8 +14,7 @@ from stripflow.fields import (
     ProfileComponent,
     SpectralField,
     StripGrid,
-    hermitian_project,
-    is_hermitian,
+    column_multiplicity,
     occupied_rows,
     random_field,
     xi_values,
@@ -37,9 +36,17 @@ class TestStripGrid:
 
     def test_frequency_lattice(self, small_grid):
         xi = xi_values(small_grid)
+        assert len(xi) == small_grid.nx // 2 + 1
         assert xi[0] == 0.0
         assert xi[1] == pytest.approx(math.pi / small_grid.half_width_lx)
-        assert xi.min() == pytest.approx(-math.pi * small_grid.nx / 2 / small_grid.half_width_lx)
+        assert xi[-1] == pytest.approx(math.pi * small_grid.nx / 2 / small_grid.half_width_lx)
+
+    def test_column_multiplicity(self, small_grid):
+        """Each column 0 < j < nx/2 also stands for its conjugate at -j."""
+        m = column_multiplicity(small_grid)
+        assert m.shape == (small_grid.nx // 2 + 1, 1)
+        assert np.array_equal(m.ravel(), [1.0] + [2.0] * (small_grid.nx // 2 - 1) + [0.0])
+        assert not m.flags.writeable
 
     def test_node_layout(self, small_grid):
         xs = small_grid.x_nodes()
@@ -61,7 +68,7 @@ class TestSpectralField:
             SpectralField(small_grid, Parity.ODD, np.zeros((3, 3), dtype=complex))
         # even parity carries the k=0 row
         f = SpectralField.zeros(small_grid, Parity.EVEN)
-        assert f.coeff.shape == (small_grid.nx, small_grid.ny + 1)
+        assert f.coeff.shape == (small_grid.nx // 2 + 1, small_grid.ny + 1)
 
     def test_arithmetic_checks_lattice(self, small_grid, medium_grid, rng):
         f = random_field(small_grid, Parity.ODD, rng)
@@ -72,21 +79,15 @@ class TestSpectralField:
         with pytest.raises(GridMismatchError):
             _ = f + h
 
-    def test_hermitian_projection_idempotent(self, small_grid, rng):
-        raw = rng.standard_normal((small_grid.nx, small_grid.ny)) + 1j * rng.standard_normal(
-            (small_grid.nx, small_grid.ny)
-        )
-        once = hermitian_project(small_grid, raw)
-        twice = hermitian_project(small_grid, once)
-        assert np.abs(once - twice).max() < 1e-15
-        assert is_hermitian(once)
-        assert np.all(once[small_grid.nyquist_row] == 0.0)
-        assert np.all(once[0].imag == 0.0)
-
-    def test_random_field_is_hermitian_and_band_limited(self, small_grid, rng):
+    def test_random_field_is_real_and_band_limited(self, small_grid, rng):
         f = random_field(small_grid, Parity.ODD, rng, kmax=2, jmax=3)
-        assert is_hermitian(f.coeff)
+        assert np.all(f.coeff[0].imag == 0.0)
+        assert np.all(f.coeff[4:] == 0.0)
         assert np.all(f.coeff[:, 2:] == 0.0)
+        assert np.all(f.coeff[1:4, :2] != 0.0)
+        full = random_field(small_grid, Parity.EVEN, rng)
+        assert np.all(full.coeff[small_grid.nyquist_row] == 0.0)
+        assert np.all(full.coeff[0].imag == 0.0)
 
     def test_physical_field_shape(self, small_grid):
         with pytest.raises(ValueError, match="shape"):
@@ -143,7 +144,7 @@ class TestOccupiedRows:
         c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
         rows = occupied_rows(c, c)
         assert rows == slice(0, 0)
-        assert c[:, rows].shape == (medium_grid.nx, 0)
+        assert c[:, rows].shape == (medium_grid.nx // 2 + 1, 0)
 
     def test_single_row_is_a_view(self, medium_grid):
         c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)

@@ -189,6 +189,5 @@ class TestNyquistHandling:
 
     def test_xi_index_layout(self, small_grid):
         j = xi_index(small_grid)
-        assert j[0] == 0
-        assert j[small_grid.nyquist_row] == -small_grid.nx // 2
-        assert j[-1] == -1
+        assert np.array_equal(j, np.arange(small_grid.nx // 2 + 1))
+        assert j[small_grid.nyquist_row] == small_grid.nx // 2 == j[-1]

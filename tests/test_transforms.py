@@ -13,8 +13,8 @@ from stripflow.fields import (
     PhysicalField,
     SpectralField,
     StripGrid,
+    column_multiplicity,
     random_field,
-    xi_index,
 )
 from stripflow.transforms import (
     pad_modes,
@@ -30,10 +30,7 @@ class TestToPhysical:
     def test_single_mode_matches_direct_evaluation(self, small_grid):
         """One coefficient at (j0, k=1) evaluates to the analytic mode shape."""
         f = SpectralField.zeros(small_grid, Parity.ODD)
-        j0_row = 2  # j = +2 in fft ordering
-        f.coeff[j0_row, 0] = 1.0 - 0.5j
-        # Hermitian partner so the field is real
-        f.coeff[-j0_row, 0] = np.conj(f.coeff[j0_row, 0])
+        f.coeff[2, 0] = 1.0 - 0.5j  # j = 2, with its conjugate at j = -2
         values = to_physical(f).values
         expected = direct_synthesis(f)
         assert np.abs(values - expected).max() < 1e-13
@@ -61,16 +58,23 @@ class TestToPhysical:
 
 
 class TestRealTransformFold:
-    """The half-spectrum fold against the direct double sum."""
+    """The half-spectrum synthesis against the direct double sum."""
 
     @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
-    def test_non_hermitian_input_gives_real_part_of_full_sum(self, small_grid, rng, parity):
+    def test_column_0_imag_and_nyquist_are_ignored(self, small_grid, rng, parity):
+        """The half layout's own edge: a real field has a real j = 0
+        column and no Nyquist column, whatever the lattice holds there."""
         shape = small_grid.coeff_shape(parity)
         coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         f = SpectralField(small_grid, parity, coeff)
-        expected = direct_synthesis(f)
         values = to_physical(f).values
-        assert np.abs(values - expected).max() < 1e-12 * np.abs(expected).max()
+        assert np.abs(values - direct_synthesis(f)).max() < 1e-12 * np.abs(values).max()
+
+        edge_free = coeff.copy()
+        edge_free[0] = coeff[0].real
+        edge_free[small_grid.nyquist_row] = 0.0
+        same = to_physical(SpectralField(small_grid, parity, edge_free)).values
+        assert same.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("ny", [1, 2])
     @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
@@ -158,16 +162,14 @@ class TestToSpectral:
     def test_three_planted_modes_recovered(self, medium_grid):
         f = SpectralField.zeros(medium_grid, Parity.ODD)
         planted = [(1, 0, 0.3 + 0.1j), (5, 2, -0.2 + 0.7j), (11, 3, 1.1 - 0.4j)]
-        rows = {int(j): i for i, j in enumerate(xi_index(medium_grid))}
         for j, col, c in planted:
-            f.coeff[rows[j], col] = c
-            f.coeff[rows[-j], col] = np.conj(c)
+            f.coeff[j, col] = c
         back = to_spectral(to_physical(f))
         for j, col, c in planted:
-            assert abs(back.coeff[rows[j], col] - c) < 1e-13
+            assert abs(back.coeff[j, col] - c) < 1e-13
         mask = np.ones_like(f.coeff, dtype=bool)
         for j, col, _ in planted:
-            mask[rows[j], col] = mask[rows[-j], col] = False
+            mask[j, col] = False
         assert np.abs(back.coeff[mask]).max() < 1e-13
 
     def test_rejects_odd_input_with_nonzero_walls(self, small_grid):
@@ -215,12 +217,19 @@ class TestOutArgument:
             to_spectral(to_physical(f), out=SpectralField.zeros(small_grid, Parity.EVEN))
 
 
+def full_spectrum_l2(f):
+    """sqrt(sum |coeff|^2 dxi) over the full spectrum: each stored column
+    0 < j < nx/2 stands for j and -j."""
+    weight = column_multiplicity(f.grid)
+    return math.sqrt(float(np.sum(weight * np.abs(f.coeff) ** 2)) * f.grid.dxi)
+
+
 class TestParseval:
     @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
     def test_parseval_identity(self, medium_grid, rng, parity):
         """Coefficient sum with weight dxi equals the physical quadrature."""
         f = random_field(medium_grid, parity, rng)
-        spectral = math.sqrt(float(np.sum(np.abs(f.coeff) ** 2)) * medium_grid.dxi)
+        spectral = full_spectrum_l2(f)
         physical = quadrature_l2(to_physical(f))
         assert abs(spectral - physical) < 1e-10 * spectral
 
@@ -229,7 +238,7 @@ class TestParseval:
     def test_parseval_property(self, seed):
         grid = StripGrid(half_width_lx=3.0 * math.pi, nx=16, ny=4, nu=1.0)
         f = random_field(grid, Parity.ODD, np.random.default_rng(seed))
-        spectral = math.sqrt(float(np.sum(np.abs(f.coeff) ** 2)) * grid.dxi)
+        spectral = full_spectrum_l2(f)
         physical = quadrature_l2(to_physical(f))
         assert abs(spectral - physical) <= 1e-10 * max(spectral, 1e-30)
 
