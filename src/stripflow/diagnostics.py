@@ -112,7 +112,7 @@ def _occupied_modulus(coeff):
 
 def _spectrum_sum(grid, terms):
     """dxi times the sum over the full spectrum of real ``terms`` given on
-    the stored columns (leading axis j = 0..nx/2)."""
+    the stored columns (leading axis j = 0..nx/2-1)."""
     return float(np.sum(column_multiplicity(grid) * terms)) * grid.dxi
 
 

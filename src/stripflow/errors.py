@@ -31,7 +31,7 @@ class CflViolation(StripflowError):
 class NumericalBlowup(StripflowError):
     """NaN/Inf detected during time integration.
 
-    ``mode_index`` is the (j, k), j = 0..nx/2, of the first offending
+    ``mode_index`` is the (j, k), j = 0..nx/2-1, of the first offending
     coefficient, ``field`` names which field it appeared in.
     """
 

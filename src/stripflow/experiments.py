@@ -192,6 +192,14 @@ def _run_linear_decay_truncated(cfg, out_dir):
 
 
 def _run_nonlinear_decay(cfg, out_dir):
+    if cfg.profile_k == cfg.grid_ny:
+        # to_physical never synthesizes sine row ny: the transport term of
+        # such data is exactly zero, and the run would fit the linear rates
+        raise ConfigError(
+            f"row k = grid.ny = {cfg.grid_ny} is invisible on the collocation "
+            "grid, so the transport term vanishes; take k < grid.ny",
+            key="profile.k",
+        )
     grid = cfg.grid()
     state0, report = make_initial_data(cfg.profile(), grid)
     honesty = truncation_honesty_tmax(grid)

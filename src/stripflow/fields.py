@@ -17,11 +17,11 @@ this means coeff = a * Lx / sqrt(pi), with the Even k=0 row carrying an
 extra sqrt(2) so the uniform weight stays valid.
 
 The fields are real, so coeff at -xi_j is the conjugate of coeff at xi_j:
-only the columns j = 0..nx/2 are stored (rfft's layout), j = 0 is real, and
-the x-Nyquist column j = nx/2 is kept zero so that real fields have an
-unambiguous representation; the sine k = ny row is invisible on the
-collocation grid (sin(ny pi n / ny) = 0 at every node) and is treated the
-same way.
+only the free columns j = 0..nx/2-1 are stored, and j = 0 is real.  The
+x-Nyquist column j = nx/2 is not stored at all (real fields on this grid
+have none; only the transforms know about it), and the sine k = ny row,
+invisible on the collocation grid (sin(ny pi n / ny) = 0 at every node),
+is stored but left zero.
 """
 
 from __future__ import annotations
@@ -86,14 +86,9 @@ class StripGrid:
     def dy(self):
         return 1.0 / self.ny
 
-    @property
-    def nyquist_row(self):
-        """Index of the x-Nyquist column j = nx/2, the last one stored."""
-        return self.nx // 2
-
     def coeff_shape(self, parity):
         nk = self.ny if parity is Parity.ODD else self.ny + 1
-        return (self.nx // 2 + 1, nk)
+        return (self.nx // 2, nk)
 
     def x_nodes(self):
         return -self.half_width_lx + self.dx * np.arange(self.nx)
@@ -104,8 +99,8 @@ class StripGrid:
 
 @lru_cache(maxsize=None)
 def xi_index(grid: StripGrid):
-    """Integer mode numbers j = 0..nx/2 of the stored columns."""
-    return np.arange(grid.nx // 2 + 1)
+    """Integer mode numbers j = 0..nx/2-1 of the stored columns."""
+    return np.arange(grid.nx // 2)
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +111,11 @@ def xi_values(grid: StripGrid):
 
 @lru_cache(maxsize=None)
 def column_multiplicity(grid: StripGrid):
-    """Weights, shape (nx/2 + 1, 1), that turn a sum over the stored columns
-    into one over the full spectrum: 1 at j = 0, 2 for 0 < j < nx/2 (the
-    conjugate column -j counts too) and 0 at the zero Nyquist column."""
-    m = np.full((grid.nx // 2 + 1, 1), 2.0)
-    m[0], m[-1] = 1.0, 0.0
+    """Weights, shape (nx/2, 1), that turn a sum over the stored columns
+    into one over the full spectrum: 1 at j = 0 and 2 elsewhere (the
+    conjugate column -j counts too)."""
+    m = np.full((grid.nx // 2, 1), 2.0)
+    m[0] = 1.0
     m.setflags(write=False)
     return m
 
@@ -317,14 +312,13 @@ def scratch(grid, name, make):
 def random_field(grid, parity, rng, amplitude=1.0, kmax=None, jmax=None):
     """Random band-limited real field (real j = 0 column) for tests and sampling.
 
-    Nyquist rows (x column j=nx/2 and the sine/cosine k=ny row) are zeroed
-    so transforms, Parseval and quadrature identities are exact.
+    The sine/cosine k=ny row is zeroed so transforms, Parseval and
+    quadrature identities are exact.
     """
     shape = grid.coeff_shape(parity)
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeff *= amplitude
     coeff[0] = coeff[0].real
-    coeff[grid.nyquist_row] = 0.0
     k = y_wavenumbers(grid, parity)
     coeff[:, k == grid.ny] = 0.0
     if kmax is not None:

@@ -1,12 +1,12 @@
 """Snapshot serialization: one CSV file per field with a header line.
 
 Header:  # t=<t> nx=<nx> ny=<ny> lx=<Lx> nu=<nu> parity=<odd|even>
-Rows:    j,k,re,im   for every (j, k), j in FFT order 0..nx/2-1, -nx/2..-1.
+Rows:    j,k,re,im   for every stored (j, k): j = 0..nx/2-1 ascending, then
+                     k ascending.
 
-A row of negative j is the conjugate of the stored column -j (a zero
-imaginary part written as 0.0), and j = -nx/2 the zero Nyquist column.
-Floats are written with repr (shortest round-trip form), so a dump/load
-cycle is bit-exact.
+The rows are the stored half lattice as it stands (see the fields module);
+the conjugate columns -j are implied.  Floats are written with repr
+(shortest round-trip form), so a dump/load cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -25,36 +25,44 @@ def save_field_csv(field: SpectralField, t: float, path):
         f"nu={grid.nu!r} parity={field.parity.value}",
         "j,k,re,im",
     ]
-    half = grid.nx // 2
     ks = y_wavenumbers(grid, field.parity).tolist()
-    for j in np.fft.fftfreq(grid.nx, 1.0 / grid.nx).astype(int).tolist():
-        for k, c in zip(ks, field.coeff[abs(j)].tolist()):
-            # 0.0 - im conjugates and turns -0.0 into 0.0
-            im = 0.0 - c.imag if -half < j < 0 else c.imag
-            lines.append(f"{j},{k},{c.real!r},{im!r}")
+    for j, column in enumerate(field.coeff.tolist()):
+        for k, c in zip(ks, column):
+            lines.append(f"{j},{k},{c.real!r},{c.imag!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_header(line):
+    """(t, grid, parity) from a header line; ValueError if it is malformed."""
+    if not line.startswith("# "):
+        raise ValueError("missing header line")
+    meta = {}
+    for item in line[2:].split():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"header item {item!r} is not key=value")
+        meta[key] = value
+    missing = [key for key in ("t", "nx", "ny", "lx", "nu", "parity") if key not in meta]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
+    grid = StripGrid(half_width_lx=float(meta["lx"]), nx=int(meta["nx"]),
+                     ny=int(meta["ny"]), nu=float(meta["nu"]))
+    return float(meta["t"]), grid, Parity(meta["parity"])
 
 
 def load_field_csv(path):
     """Read a field dump; returns (t, SpectralField).
 
-    Raises ValueError, naming the path and line, on a mode outside the
-    header's grid or a row of negative j that is not the conjugate of its
-    column -j: the stored half lattice cannot hold such a field.
+    Raises ValueError naming the path and line on a malformed header, a
+    row that is not four numbers j,k,re,im, or a mode outside the
+    header's grid (a file that lists j < 0, as files from before the
+    half-lattice format do, fails at its first such row).
     """
     text = Path(path).read_text().splitlines()
-    header = text[0]
-    if not header.startswith("# "):
-        raise ValueError(f"{path}: missing header line")
-    meta = dict(item.split("=", 1) for item in header[2:].split())
-    grid = StripGrid(
-        half_width_lx=float(meta["lx"]),
-        nx=int(meta["nx"]),
-        ny=int(meta["ny"]),
-        nu=float(meta["nu"]),
-    )
-    parity = Parity(meta["parity"])
-    t = float(meta["t"])
+    try:
+        t, grid, parity = _read_header(text[0] if text else "")
+    except ValueError as exc:
+        raise ValueError(f"{path}, line 1: {exc}") from None
 
     half = grid.nx // 2
     col_of = {int(k): i for i, k in enumerate(y_wavenumbers(grid, parity))}
@@ -62,19 +70,16 @@ def load_field_csv(path):
     for number, line in enumerate(text[2:], start=3):
         if not line:
             continue
-        j_s, k_s, re_s, im_s = line.split(",")
-        j, k, c = int(j_s), int(k_s), complex(float(re_s), float(im_s))
-        if not -half <= j < half or k not in col_of:
+        try:
+            j_s, k_s, re_s, im_s = line.split(",")
+            j, k, c = int(j_s), int(k_s), complex(float(re_s), float(im_s))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: expected j,k,re,im, "
+                             f"got {line!r}") from None
+        if not 0 <= j < half or k not in col_of:
             raise ValueError(f"{path}, line {number}: mode (j={j}, k={k}) lies outside "
                              f"the {parity.value} grid nx={grid.nx}, ny={grid.ny}")
-        if not -half < j < 0:
-            coeff[abs(j), col_of[k]] = c
-            continue
-        # in FFT order the row of -j came first
-        held = complex(coeff[-j, col_of[k]]).conjugate()
-        if c != held and not (c != c and held != held):  # two NaNs match
-            raise ValueError(f"{path}, line {number}: mode (j={j}, k={k}) is not the "
-                             f"conjugate of mode (j={-j}, k={k})")
+        coeff[j, col_of[k]] = c
     return t, SpectralField(grid, parity, coeff)
 
 

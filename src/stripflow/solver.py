@@ -362,7 +362,6 @@ def make_initial_data(profile: InitialProfile, grid: StripGrid):
             if c.k > grid.ny:
                 raise ValueError(f"component k={c.k} exceeds ny={grid.ny}")
             coeff[:, c.k - 1] += c.envelope(xi)
-        coeff[grid.nyquist_row] = 0.0
         return SpectralField(grid, Parity.ODD, coeff)
 
     theta = synthesize(profile.theta)

@@ -1,9 +1,12 @@
 """Transforms between coefficient space and collocation values.
 
-Both directions use real transforms.  In x, the stored columns j = 0..nx/2
-are the half spectrum that irfft synthesizes and rfft computes; the nodes
-start at -Lx, which contributes the alternating phase (-1)^j relative to
-the usual 0-based convention, applied as a shift by half a period.  In y,
+Both directions use real transforms.  In x, the stored columns
+j = 0..nx/2-1 are the half spectrum that irfft synthesizes and rfft
+computes, short of its x-Nyquist column j = nx/2: a real field on this
+grid has none, and this module is the only one that knows the column.
+The nodes start at -Lx, which contributes the alternating phase (-1)^j
+relative to the usual 0-based convention, applied as a shift by half a
+period.  In y,
 sine series run as a type-I discrete sine transform over the ny-1 interior
 rows (Odd wall rows are exactly zero) and cosine series
 as a type-I discrete cosine transform over all ny+1 rows, so Odd and Even
@@ -16,7 +19,7 @@ measured faster up to about ny = 64 (ny = 32: 18 us against 70 us, one
 BLAS thread on a 2-core x86 box), and the toolkit's grids have ny <= 32.
 
 to_physical and to_spectral are exact inverses (to rounding) on the
-band-limited space: zero x-Nyquist column, zero k=ny sine row.
+band-limited space: no x-Nyquist content, zero k=ny sine row.
 """
 
 from __future__ import annotations
@@ -82,9 +85,8 @@ def _y_matrices(grid: StripGrid, parity: Parity):
 def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalField:
     """Evaluate the double series of the real field f at the collocation nodes.
 
-    irfft reads only the real part of the j = 0 column, and the x-Nyquist
-    column is dropped on synthesis (forced-zero convention); Odd wall rows
-    come out exactly zero.  ``out``, a field of f's grid and parity,
+    irfft reads only the real part of the j = 0 column; Odd wall rows come
+    out exactly zero.  ``out``, a field of f's grid and parity,
     receives the values and is returned; by default a new field does.
     """
     grid = f.grid
@@ -98,10 +100,11 @@ def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalF
         out.values[...] = 0.0
         return out
 
-    # irfft reads the Nyquist column, so it gets a copy where that column
-    # is zero (padding a shorter input would cost it a new lattice a call)
+    # irfft reads an x-Nyquist column, so it gets a copy whose last row,
+    # that column, stays zero (padding a shorter input would cost it a new
+    # lattice a call)
     c = scratch(grid, ("to_physical", f.parity), lambda: np.zeros((half + 1, nk), complex))
-    c[:half] = f.coeff[:half, :nk]
+    c[:half] = f.coeff[:, :nk]
     cols = irfft(c, n=grid.nx, axis=0)
 
     # the nodes start at -Lx: the phase (-1)^j is a shift by half a period
@@ -157,9 +160,8 @@ def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralF
     spec = rfft(rows, axis=0)
 
     # the x-Nyquist column and the k=ny sine row are invisible on this
-    # grid and left zero
-    coeff[:half, :nk] = spec[:half]
-    coeff[half] = 0.0
+    # grid: the first is not stored, the second is left zero
+    coeff[:, :nk] = spec[:half]
     coeff[:, nk:] = 0.0
     return out
 
@@ -174,8 +176,7 @@ def pad_modes(f: SpectralField) -> SpectralField:
     grid = f.grid
     fine = StripGrid(grid.half_width_lx, 2 * grid.nx, 2 * grid.ny, grid.nu)
     out = SpectralField.zeros(fine, f.parity)
-    half = grid.nx // 2
-    out.coeff[:half, : f.coeff.shape[1]] = f.coeff[:half]
+    out.coeff[: f.coeff.shape[0], : f.coeff.shape[1]] = f.coeff
     return out
 
 

@@ -30,8 +30,7 @@ def direct_synthesis(field):
     Independent of the FFT implementation: nested sums with explicit basis
     functions, used as the transform oracle.  The stored columns are the
     half spectrum of a real field, so the series is
-    Re(c_0 + 2 sum_{0 < j < nx/2} c_j e^{i xi_j x}) per basis row; the
-    x-Nyquist column is dropped.
+    Re(c_0 + 2 sum_{0 < j < nx/2} c_j e^{i xi_j x}) per basis row.
     """
     grid = field.grid
     nx, ny = grid.nx, grid.ny
@@ -53,8 +52,6 @@ def direct_synthesis(field):
         for n, y in enumerate(ys):
             total = 0.0j
             for row, j in enumerate(js):
-                if j == grid.nx // 2:
-                    continue
                 phase = (1.0 if j == 0 else 2.0) * np.exp(
                     1j * math.pi * j * x / grid.half_width_lx)
                 for col, k in enumerate(ks):
@@ -66,10 +63,10 @@ def direct_synthesis(field):
 def direct_projection(grid, values, parity):
     """Coefficients of collocation values by explicit quadrature sums.
 
-    Rectangle rule in x against exp(-i xi_j x_m) for j = 0..nx/2; in y the
+    Rectangle rule in x against exp(-i xi_j x_m) for j = 0..nx/2-1; in y the
     discrete sine (Odd, interior rows) or cosine (Even, trapezoid end
-    weights) sums.  Returns the stored-coefficient array with the x-Nyquist
-    column and the invisible k=ny sine row zero.  FFT-independent counterpart of
+    weights) sums.  Returns the stored-coefficient array with the invisible
+    k=ny sine row zero.  FFT-independent counterpart of
     to_spectral.
     """
     nx, ny = grid.nx, grid.ny
@@ -78,7 +75,7 @@ def direct_projection(grid, values, parity):
     ys = grid.y_nodes()
     scale = math.sqrt(math.pi) / grid.half_width_lx
     ex = np.exp(-1j * math.pi * np.outer(js, xs) / grid.half_width_lx) / nx
-    rows = ex @ values  # (nx/2 + 1 modes, ny+1 nodes)
+    rows = ex @ values  # (nx/2 modes, ny+1 nodes)
     if parity is Parity.ODD:
         ks = np.arange(1, ny + 1)
         basis = np.sin(math.pi * np.outer(ys, ks)) * (2.0 / ny)
@@ -93,7 +90,6 @@ def direct_projection(grid, values, parity):
         row_scale = np.full(ny + 1, scale)
         row_scale[0] = scale / math.sqrt(2.0)
     coeff = (rows @ basis) / row_scale[None, :]
-    coeff[grid.nyquist_row] = 0.0
     if parity is Parity.ODD:
         coeff[:, -1] = 0.0
     return coeff

@@ -232,6 +232,23 @@ class TestRuntimeValidation:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "decade" in manifest["summary"]["error"]
 
+    def test_nonlinear_decay_refuses_the_last_sine_row(self, tmp_path, monkeypatch):
+        """Row k = ny vanishes at every node, so its transport term is
+        exactly zero; the linear ladder still takes it."""
+        from stripflow import solver
+
+        calls = []
+        monkeypatch.setattr(solver, "step", lambda state, cfg: calls.append(state))
+        grid = ["--set", "grid.nx=64", "--set", "grid.ny=8", "--set", "profile.k=8"]
+        code = run_cli(["nonlinear-decay", "--output-dir", str(tmp_path / "nl"), *grid])
+        assert code == 2
+        assert calls == []
+        manifest = json.loads((tmp_path / "nl" / "manifest.json").read_text())
+        assert manifest["outputs"] == []
+        assert manifest["summary"]["error"].startswith("key 'profile.k': ")
+        assert run_cli(["linear-decay-truncated", "--output-dir", str(tmp_path / "lin"),
+                        *grid]) == 0
+
     def test_cfl_violation_exits_3_with_its_admissible_dt(self, tmp_path):
         """A trajectory failure reaches the manifest with its own cause."""
         from stripflow.config import parse_config

@@ -36,16 +36,16 @@ class TestStripGrid:
 
     def test_frequency_lattice(self, small_grid):
         xi = xi_values(small_grid)
-        assert len(xi) == small_grid.nx // 2 + 1
+        assert len(xi) == small_grid.nx // 2
         assert xi[0] == 0.0
         assert xi[1] == pytest.approx(math.pi / small_grid.half_width_lx)
-        assert xi[-1] == pytest.approx(math.pi * small_grid.nx / 2 / small_grid.half_width_lx)
+        assert xi[-1] == pytest.approx(math.pi * (small_grid.nx / 2 - 1) / small_grid.half_width_lx)
 
     def test_column_multiplicity(self, small_grid):
-        """Each column 0 < j < nx/2 also stands for its conjugate at -j."""
+        """Each stored column j > 0 also stands for its conjugate at -j."""
         m = column_multiplicity(small_grid)
-        assert m.shape == (small_grid.nx // 2 + 1, 1)
-        assert np.array_equal(m.ravel(), [1.0] + [2.0] * (small_grid.nx // 2 - 1) + [0.0])
+        assert m.shape == (small_grid.nx // 2, 1)
+        assert np.array_equal(m.ravel(), [1.0] + [2.0] * (small_grid.nx // 2 - 1))
         assert not m.flags.writeable
 
     def test_node_layout(self, small_grid):
@@ -68,7 +68,7 @@ class TestSpectralField:
             SpectralField(small_grid, Parity.ODD, np.zeros((3, 3), dtype=complex))
         # even parity carries the k=0 row
         f = SpectralField.zeros(small_grid, Parity.EVEN)
-        assert f.coeff.shape == (small_grid.nx // 2 + 1, small_grid.ny + 1)
+        assert f.coeff.shape == (small_grid.nx // 2, small_grid.ny + 1)
 
     def test_arithmetic_checks_lattice(self, small_grid, medium_grid, rng):
         f = random_field(small_grid, Parity.ODD, rng)
@@ -86,7 +86,8 @@ class TestSpectralField:
         assert np.all(f.coeff[:, 2:] == 0.0)
         assert np.all(f.coeff[1:4, :2] != 0.0)
         full = random_field(small_grid, Parity.EVEN, rng)
-        assert np.all(full.coeff[small_grid.nyquist_row] == 0.0)
+        assert np.all(full.coeff[:, -1] == 0.0)  # the cosine k = ny row
+        assert np.all(full.coeff[1:, :-1] != 0.0)
         assert np.all(full.coeff[0].imag == 0.0)
 
     def test_physical_field_shape(self, small_grid):
@@ -144,7 +145,7 @@ class TestOccupiedRows:
         c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)
         rows = occupied_rows(c, c)
         assert rows == slice(0, 0)
-        assert c[:, rows].shape == (medium_grid.nx // 2 + 1, 0)
+        assert c[:, rows].shape == (medium_grid.nx // 2, 0)
 
     def test_single_row_is_a_view(self, medium_grid):
         c = np.zeros(medium_grid.coeff_shape(Parity.ODD), dtype=complex)

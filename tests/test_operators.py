@@ -182,12 +182,8 @@ class TestOutArgument:
 
 
 class TestNyquistHandling:
-    def test_nyquist_column_dropped_on_synthesis(self, small_grid):
-        f = SpectralField.zeros(small_grid, Parity.ODD)
-        f.coeff[small_grid.nyquist_row, 0] = 1.0
-        assert np.all(to_physical(f).values == 0.0)
-
     def test_xi_index_layout(self, small_grid):
+        """The stored columns stop below the x-Nyquist column j = nx/2."""
         j = xi_index(small_grid)
-        assert np.array_equal(j, np.arange(small_grid.nx // 2 + 1))
-        assert j[small_grid.nyquist_row] == small_grid.nx // 2 == j[-1]
+        assert np.array_equal(j, np.arange(small_grid.nx // 2))
+        assert len(j) == small_grid.coeff_shape(Parity.ODD)[0]
