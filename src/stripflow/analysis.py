@@ -6,6 +6,10 @@ Everything here works on the continuum frequency lattice R x {1, 2, ...}
 (no periodic truncation in x), with Gauss-Legendre composite quadrature in
 xi.  Decay exponents extracted from these curves are free of the
 exponential cutoff a finite x-interval would impose.
+
+The symbol-bound check works in whole-array passes: the sampler makes one
+generator draw per sine row, and the checker evaluates all its times in
+one broadcast.
 """
 
 from __future__ import annotations
@@ -130,52 +134,37 @@ class SymbolBoundReport:
 def sample_region_modes(nu, region, count, rng):
     """Draw (xi, k) pairs from one frequency region, stratified per k.
 
-    For each k = 1..32 the region's xi-sections are located on a dense log
-    lattice over 1e-4 <= xi <= 1e3; samples are spread as stratified
-    quantiles across the member set (with jitter inside each stratum) and
-    the section endpoints are always included, since the ratio extrema of
-    the envelope bounds sit at the section boundaries where sigma
-    degenerates.  Signs are random.
+    The region's xi-sections for k = 1..32 are found on a log lattice over
+    1e-4 <= xi <= 1e3, and ``count`` is split over the member rows (the
+    first ``count % rows`` take one more).  A row gives one sample per
+    distinct pick: its section endpoints, where sigma degenerates and the
+    envelope ratios peak, and its stratified quantiles.  Each sample is
+    jittered inside its lattice cell (kept at the cell's lower end if the
+    jitter leaves the region) and given a random sign; the samples come
+    back shuffled.
     """
-    k_max = 32
     lattice = 10.0 ** np.linspace(-4.0, 3.0, 3000)
-    members = {}
-    for k in range(1, k_max + 1):
-        sel = classify_region(lattice, k, nu) == region
-        if np.any(sel):
-            members[k] = np.flatnonzero(sel)
-    if not members:
+    member = classify_region(lattice, np.arange(1, 33)[:, None], nu) == region
+    rows = np.flatnonzero(member.any(axis=1)) + 1
+    if len(rows) == 0 or count < 1:
         return np.array([]), np.array([], dtype=int)
 
-    per_k = np.zeros(k_max + 1, dtype=int)
-    ks_cycle = sorted(members)
-    for i in range(count):
-        per_k[ks_cycle[i % len(ks_cycle)]] += 1
-
+    share, extra = divmod(count, len(rows))
     xs, ks = [], []
-    for k, idx in members.items():
-        n_k = per_k[k]
-        if n_k == 0:
-            continue
-        # contiguous-section endpoints first
+    for i, k in enumerate(rows[:count]):  # rows past the first count get no share
+        idx = np.flatnonzero(member[k - 1])
         breaks = np.flatnonzero(np.diff(idx) > 1)
-        picks = {idx[0], idx[-1]}
-        picks.update(idx[b] for b in breaks)
-        picks.update(idx[b + 1] for b in breaks)
-        quantiles = idx[np.linspace(0, len(idx) - 1, max(n_k, 2)).astype(int)]
-        picks.update(quantiles.tolist())
-        chosen = sorted(picks)[: max(n_k, len(picks))]
-        for i in chosen:
-            lo = lattice[i]
-            hi = lattice[min(i + 1, len(lattice) - 1)]
-            xi = float(rng.uniform(lo, hi))
-            if classify_region(np.array([xi]), k, nu)[0] != region:
-                xi = lo
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            xs.append(sign * xi)
-            ks.append(k)
-    xs = np.array(xs)
-    ks = np.array(ks, dtype=int)
+        quantiles = np.linspace(0, len(idx) - 1, max(share + (i < extra), 2)).astype(int)
+        picks = np.unique(np.concatenate(
+            (idx[[0, -1]], idx[breaks], idx[breaks + 1], idx[quantiles])))
+        lo, hi = lattice[picks], lattice[np.minimum(picks + 1, len(lattice) - 1)]
+        # per pick one jitter, then one sign: the per-sample draw order
+        jitter, sign = rng.random((len(picks), 2)).T
+        xi = lo + (hi - lo) * jitter
+        xi = np.where(classify_region(xi, k, nu) == region, xi, lo)
+        xs.append(np.where(sign < 0.5, xi, -xi))
+        ks.append(np.full(len(picks), k))
+    xs, ks = np.concatenate(xs), np.concatenate(ks)
     order = rng.permutation(len(xs))
     return xs[order], ks[order]
 
@@ -197,19 +186,16 @@ def verify_symbol_bounds(nu, region, samples, rng) -> SymbolBoundReport:
         if len(xi) == 0:
             return None, 0
         p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
-        worst = {q: 0.0 for q in ("l1", "l2", "dt_l1", "dt_l2")}
-        for t in np.logspace(-2, 3, 26):
-            l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
-            d1, d2 = pair_derivatives(nu * p, t, (lam_p, lam_m), (l1, l2))
-            for q, v in (("l1", l1), ("l2", l2), ("dt_l1", d1), ("dt_l2", d2)):
-                env = _envelope(region, q, xi, p, nu, t)
-                # below ~1e-250 value and envelope are denormal dust and
-                # the ratio is pure quantization noise; skip those modes
-                av = np.abs(v)
-                live = env >= 1e-250
-                if np.any(live):
-                    ratio = av[live] / env[live]
-                    worst[q] = max(worst[q], float(ratio.max()))
+        t = np.logspace(-2, 3, 26)[:, None]
+        l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
+        d1, d2 = pair_derivatives(nu * p, t, (lam_p, lam_m), (l1, l2))
+        worst = {}
+        for q, v in (("l1", l1), ("l2", l2), ("dt_l1", d1), ("dt_l2", d2)):
+            env = _envelope(region, q, xi, p, nu, t)
+            # below ~1e-250 value and envelope are denormal dust and the
+            # ratio is pure quantization noise; skip those (time, mode) cells
+            live = env >= 1e-250
+            worst[q] = float((np.abs(v[live]) / env[live]).max(initial=0.0))
         return worst, len(xi)
 
     constants, found = measure(samples)
@@ -234,11 +220,9 @@ def verify_symbol_bounds(nu, region, samples, rng) -> SymbolBoundReport:
 
 def _gauss_panels(edges, n):
     x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(np.full(n, 0.5 * (b - a)) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = (np.asarray(e, dtype=float)[:, None] for e in (edges[:-1], edges[1:]))
+    half = 0.5 * (b - a)
+    return (half * x + 0.5 * (a + b)).ravel(), (half * w).ravel()
 
 
 def _beta_panels(tau_max):

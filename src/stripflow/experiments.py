@@ -53,8 +53,10 @@ def run(cfg: ExperimentConfig, overrides=None) -> int:
     """Execute the configured experiment; returns the process exit status.
 
     The manifest is written in every case, also when the summary's
-    ``pass`` verdict fails (EXIT_VERDICT).
+    ``pass`` verdict fails (EXIT_VERDICT).  A run that fails also prints
+    its ``summary.error`` on stderr.
     """
+    import sys
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[cfg.experiment]
@@ -64,10 +66,12 @@ def run(cfg: ExperimentConfig, overrides=None) -> int:
         outputs, summary = runner(cfg, out_dir)
     except ConfigError as exc:
         _write_manifest(cfg, out_dir, [], {"error": str(exc)}, t0, overrides)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StripflowError as exc:
         error = f"{type(exc).__name__}: {exc}"
         _write_manifest(cfg, out_dir, [], {"error": error}, t0, overrides)
+        print(f"run failed: {error}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(cfg, out_dir, outputs, summary, t0, overrides)
     return EXIT_VERDICT if summary.get("pass") is False else EXIT_OK

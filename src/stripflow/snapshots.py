@@ -6,7 +6,8 @@ Rows:    j,k,re,im   for every stored (j, k): j = 0..nx/2-1 ascending, then
 
 The rows are the stored half lattice as it stands (see the fields module);
 the conjugate columns -j are implied.  Floats are written with repr
-(shortest round-trip form), so a dump/load cycle is bit-exact.
+(shortest round-trip form), so a dump/load cycle is bit-exact.  The loader
+takes only the whole lattice, each mode once and in this order.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ def load_field_csv(path):
     """Read a field dump; returns (t, SpectralField).
 
     Raises ValueError naming the path and line on a malformed header, a
-    row that is not four numbers j,k,re,im, or a mode outside the
-    header's grid (a file that lists j < 0, as files from before the
-    half-lattice format do, fails at its first such row).
+    row that is not four numbers j,k,re,im, a mode outside the header's
+    grid (a file that lists j < 0, as files from before the half-lattice
+    format do, fails at its first such row) or a mode out of the written
+    order, and naming the path and row count on a file that ends early.
     """
     text = Path(path).read_text().splitlines()
     try:
@@ -65,8 +67,9 @@ def load_field_csv(path):
         raise ValueError(f"{path}, line 1: {exc}") from None
 
     half = grid.nx // 2
-    col_of = {int(k): i for i, k in enumerate(y_wavenumbers(grid, parity))}
-    coeff = np.zeros(grid.coeff_shape(parity), dtype=np.complex128)
+    ks = y_wavenumbers(grid, parity).tolist()
+    modes = ((j, k) for j in range(half) for k in ks)
+    values = []
     for number, line in enumerate(text[2:], start=3):
         if not line:
             continue
@@ -76,10 +79,19 @@ def load_field_csv(path):
         except ValueError:
             raise ValueError(f"{path}, line {number}: expected j,k,re,im, "
                              f"got {line!r}") from None
-        if not 0 <= j < half or k not in col_of:
-            raise ValueError(f"{path}, line {number}: mode (j={j}, k={k}) lies outside "
-                             f"the {parity.value} grid nx={grid.nx}, ny={grid.ny}")
-        coeff[j, col_of[k]] = c
+        want = next(modes, None)
+        if (j, k) != want:
+            if not 0 <= j < half or k not in ks:
+                raise ValueError(f"{path}, line {number}: mode (j={j}, k={k}) lies "
+                                 f"outside the {parity.value} grid nx={grid.nx}, "
+                                 f"ny={grid.ny}")
+            expected = "no more rows" if want is None else "mode (j={}, k={})".format(*want)
+            raise ValueError(f"{path}, line {number}: expected {expected}, got (j={j}, k={k})")
+        values.append(c)
+    if len(values) != half * len(ks):
+        raise ValueError(f"{path}: {len(values)} rows, but the {parity.value} grid "
+                         f"nx={grid.nx}, ny={grid.ny} stores {half * len(ks)}")
+    coeff = np.array(values, dtype=np.complex128).reshape(half, len(ks))
     return t, SpectralField(grid, parity, coeff)
 
 

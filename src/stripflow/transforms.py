@@ -96,9 +96,6 @@ def to_physical(f: SpectralField, out: PhysicalField | None = None) -> PhysicalF
     require_lattice(out, grid, f.parity, "to_physical")
     synthesis = _y_matrices(grid, f.parity)[0]
     nk = synthesis.shape[0]
-    if nk == 0:
-        out.values[...] = 0.0
-        return out
 
     # irfft reads an x-Nyquist column, so it gets a copy whose last row,
     # that column, stays zero (padding a shorter input would cost it a new
@@ -147,9 +144,6 @@ def to_spectral(f: PhysicalField, out: SpectralField | None = None) -> SpectralF
     coeff = out.coeff
     analysis = _y_matrices(grid, f.parity)[1]
     nk = analysis.shape[1]
-    if nk == 0:
-        coeff[...] = 0.0
-        return out
 
     # Odd wall rows are zero to BOUNDARY_TOL, carry no sine content and
     # meet zero rows of the analysis matrix; the half-period shift is the

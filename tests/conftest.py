@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from stripflow.analysis import _envelope
 from stripflow.fields import Parity, StripGrid, xi_index
-from stripflow.propagators import pair_values, sigma_lambda
+from stripflow.propagators import classify_region, pair_derivatives, pair_values, sigma_lambda
 
 
 @pytest.fixture
@@ -93,6 +94,82 @@ def direct_projection(grid, values, parity):
     if parity is Parity.ODD:
         coeff[:, -1] = 0.0
     return coeff
+
+
+def per_sample_region_modes(nu, region, count, rng):
+    """Slow reference for analysis.sample_region_modes: one uniform draw,
+    one classify_region call and one random() sign per sample, samples
+    dealt to the member rows one at a time."""
+    k_max = 32
+    lattice = 10.0 ** np.linspace(-4.0, 3.0, 3000)
+    members = {}
+    for k in range(1, k_max + 1):
+        sel = classify_region(lattice, k, nu) == region
+        if np.any(sel):
+            members[k] = np.flatnonzero(sel)
+    if not members:
+        return np.array([]), np.array([], dtype=int)
+
+    per_k = np.zeros(k_max + 1, dtype=int)
+    ks_cycle = sorted(members)
+    for i in range(count):
+        per_k[ks_cycle[i % len(ks_cycle)]] += 1
+
+    xs, ks = [], []
+    for k, idx in members.items():
+        n_k = per_k[k]
+        if n_k == 0:
+            continue
+        breaks = np.flatnonzero(np.diff(idx) > 1)
+        picks = {idx[0], idx[-1]}
+        picks.update(idx[b] for b in breaks)
+        picks.update(idx[b + 1] for b in breaks)
+        quantiles = idx[np.linspace(0, len(idx) - 1, max(n_k, 2)).astype(int)]
+        picks.update(quantiles.tolist())
+        for i in sorted(picks):
+            lo = lattice[i]
+            hi = lattice[min(i + 1, len(lattice) - 1)]
+            xi = float(rng.uniform(lo, hi))
+            if classify_region(np.array([xi]), k, nu)[0] != region:
+                xi = lo
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            xs.append(sign * xi)
+            ks.append(k)
+    xs = np.array(xs)
+    ks = np.array(ks, dtype=int)
+    order = rng.permutation(len(xs))
+    return xs[order], ks[order]
+
+
+def per_time_symbol_constants(nu, region, samples, rng):
+    """Slow reference for analysis.verify_symbol_bounds: the per-sample
+    sampler and one pair_values/_envelope evaluation per time.
+
+    Returns (constants, constants_doubled, found); constants is None for
+    an empty region.
+    """
+
+    def measure(n):
+        xi, k = per_sample_region_modes(nu, region, n, rng)
+        if len(xi) == 0:
+            return None, 0
+        p, sigma, lam_p, lam_m = sigma_lambda(xi, k, nu)
+        worst = {q: 0.0 for q in ("l1", "l2", "dt_l1", "dt_l2")}
+        for t in np.logspace(-2, 3, 26):
+            l1, l2 = pair_values(nu * p, sigma, t, lam=(lam_p, lam_m))
+            d1, d2 = pair_derivatives(nu * p, t, (lam_p, lam_m), (l1, l2))
+            for q, v in (("l1", l1), ("l2", l2), ("dt_l1", d1), ("dt_l2", d2)):
+                env = _envelope(region, q, xi, p, nu, t)
+                live = env >= 1e-250
+                if np.any(live):
+                    worst[q] = max(worst[q], float((np.abs(v)[live] / env[live]).max()))
+        return worst, len(xi)
+
+    constants, found = measure(samples)
+    if constants is None:
+        return None, None, 0
+    doubled, found2 = measure(2 * samples)
+    return constants, doubled, found + found2
 
 
 def quadrature_l2(f):

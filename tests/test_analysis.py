@@ -9,6 +9,7 @@ from stripflow.analysis import (
     CONTINUUM_LADDER,
     NU_STAR_SQUARED,
     QuadratureSpec,
+    _gauss_panels,
     continuum_linear_decay,
     kernel_decay_integral,
     kernel_decay_integral_polar,
@@ -21,6 +22,8 @@ from stripflow.analysis import (
 from stripflow.diagnostics import NormId, fit_rate, norm_weight
 from stripflow.fields import InitialProfile, ProfileComponent, StripGrid
 from stripflow.propagators import classify_region, pair_values, sigma_lambda
+
+from conftest import per_sample_region_modes, per_time_symbol_constants
 
 
 class TestNuStar:
@@ -83,6 +86,54 @@ class TestSymbolBounds:
         rep = verify_symbol_bounds(0.01, 4, 300, rng)
         for q in ("l1", "l2", "dt_l1", "dt_l2"):
             assert np.isfinite(rep.constants[q])
+
+
+#: viscosities on both sides of nu* and at it: all four regions are
+#: inhabited below nu*, only I1 and I2 above it
+REFERENCE_NUS = (0.003, 0.01, 0.05, 0.5 * nu_star(), nu_star(), 1.01 * nu_star(),
+                 2.0 * nu_star(), 1.0)
+
+
+class TestWholeArrayPassesMatchThePerSampleReference:
+    """The sampler draws a row's jitters and signs in one call and the
+    checker evaluates all 26 times at once; both must give the numbers, and
+    leave the generator in the state, of the one-sample-at-a-time code."""
+
+    @pytest.mark.parametrize("region", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nu", REFERENCE_NUS)
+    def test_sampler(self, nu, region):
+        for seed in (0, 5, 1324930728):
+            for count in (1, 7, 50, 1000):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                xi, k = sample_region_modes(nu, region, count, fast)
+                xi_ref, k_ref = per_sample_region_modes(nu, region, count, slow)
+                assert np.array_equal(xi, xi_ref), (seed, count)
+                assert np.array_equal(k, k_ref), (seed, count)
+                assert xi.dtype == xi_ref.dtype and k.dtype == k_ref.dtype
+                assert fast.bit_generator.state == slow.bit_generator.state, (seed, count)
+
+    @pytest.mark.parametrize("region", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nu", REFERENCE_NUS)
+    def test_constants(self, nu, region):
+        for seed, samples in ((1, 7), (42, 60)):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            rep = verify_symbol_bounds(nu, region, samples, fast)
+            constants, doubled, found = per_time_symbol_constants(nu, region, samples, slow)
+            assert rep.empty == (constants is None)
+            assert rep.found == found
+            if constants is not None:
+                assert rep.constants == constants and rep.constants_doubled == doubled
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_gauss_panels_match_one_panel_at_a_time(self):
+        edges = [0.0, 0.005, 0.1, 1.0, 8.0]
+        x, w = np.polynomial.legendre.leggauss(12)
+        nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b)
+                                for a, b in zip(edges[:-1], edges[1:])])
+        weights = np.concatenate([np.full(12, 0.5 * (b - a)) * w
+                                  for a, b in zip(edges[:-1], edges[1:])])
+        got = _gauss_panels(edges, 12)
+        assert got[0].tobytes() == nodes.tobytes() and got[1].tobytes() == weights.tobytes()
 
 
 class TestKernelIntegral:

@@ -232,9 +232,10 @@ class TestRuntimeValidation:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "decade" in manifest["summary"]["error"]
 
-    def test_nonlinear_decay_refuses_the_last_sine_row(self, tmp_path, monkeypatch):
+    def test_nonlinear_decay_refuses_the_last_sine_row(self, tmp_path, monkeypatch, capsys):
         """Row k = ny vanishes at every node, so its transport term is
-        exactly zero; the linear ladder still takes it."""
+        exactly zero; the linear ladder still takes it.  The refusal comes
+        at run time and is printed like a validation error."""
         from stripflow import solver
 
         calls = []
@@ -246,10 +247,13 @@ class TestRuntimeValidation:
         manifest = json.loads((tmp_path / "nl" / "manifest.json").read_text())
         assert manifest["outputs"] == []
         assert manifest["summary"]["error"].startswith("key 'profile.k': ")
+        out = capsys.readouterr()
+        assert out.err == f"configuration error: {manifest['summary']['error']}\n"
+        assert "profile.k" in out.err and out.out == ""
         assert run_cli(["linear-decay-truncated", "--output-dir", str(tmp_path / "lin"),
                         *grid]) == 0
 
-    def test_cfl_violation_exits_3_with_its_admissible_dt(self, tmp_path):
+    def test_cfl_violation_exits_3_with_its_admissible_dt(self, tmp_path, capsys):
         """A trajectory failure reaches the manifest with its own cause."""
         from stripflow.config import parse_config
         from stripflow.errors import CflViolation
@@ -269,6 +273,7 @@ class TestRuntimeValidation:
         assert manifest["outputs"] == []
         error = manifest["summary"]["error"]
         assert error.startswith("CflViolation: dt=5 exceeds admissible")
+        assert capsys.readouterr().err == f"run failed: {error}\n"
 
         doc = "\n".join(["experiment = nonlinear-decay"]
                         + [f"{k} = {v}" for k, v in settings.items()])

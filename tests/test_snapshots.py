@@ -76,10 +76,18 @@ def test_a_mode_outside_the_grid_names_path_and_line(tmp_path, row, line):
     (PINNED[Parity.ODD], "", 1, "missing header line"),
     ("1,1,0.5,-1.25", "1,1,0.5", 5, "expected j,k,re,im, got '1,1,0.5'"),
     ("1,1,0.5,-1.25", "0,1,abc,0.0", 5, "expected j,k,re,im, got '0,1,abc,0.0'"),
+    ("1,2,3.0,-0.0\n", "", None, "3 rows, but the odd grid nx=4, ny=2 stores 4"),
+    ("0,2,-0.25,0.0", "0,1,1.5,0.0", 4, "expected mode (j=0, k=2), got (j=0, k=1)"),
+    ("1,1,0.5,-1.25\n1,2,3.0,-0.0", "1,2,3.0,-0.0\n1,1,0.5,-1.25", 5,
+     "expected mode (j=1, k=1), got (j=1, k=2)"),
+    ("1,2,3.0,-0.0\n", "1,2,3.0,-0.0\n1,2,3.0,-0.0\n", 7,
+     "expected no more rows, got (j=1, k=2)"),
 ], ids=["header-without-nu", "bare-word-in-header", "empty-file", "three-fields",
-        "not-a-float"])
+        "not-a-float", "truncated", "repeated-row", "reordered-rows", "extra-row"])
 def test_a_malformed_file_names_path_and_line(tmp_path, old, new, line, message):
+    """A file that ends early names its row count instead of a line."""
     path = tmp_path / "f.csv"
     path.write_text(PINNED[Parity.ODD].replace(old, new))
-    with pytest.raises(ValueError, match=rf"f\.csv, line {line}: {re.escape(message)}$"):
+    where = "" if line is None else f", line {line}"
+    with pytest.raises(ValueError, match=rf"f\.csv{where}: {re.escape(message)}$"):
         load_field_csv(path)

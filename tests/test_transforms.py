@@ -80,6 +80,8 @@ class TestRealTransformFold:
     @pytest.mark.parametrize("ny", [1, 2])
     @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
     def test_shallow_grids(self, rng, ny, parity):
+        """At ny = 1 an Odd field has no visible sine row, so both transforms
+        run on a zero-width axis and the Odd nodes come out exactly zero."""
         grid = StripGrid(half_width_lx=2.0 * math.pi, nx=8, ny=ny, nu=1.0)
         shape = grid.coeff_shape(parity)
         f = SpectralField(grid, parity, rng.standard_normal(shape)
